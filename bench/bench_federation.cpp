@@ -10,8 +10,7 @@
 // until the full diameter (4) is covered. The sweep measures exactly that:
 // scarce-class goodput (scarce queries that received results) as a
 // function of hop budget, plus a full-mesh row (one-hop reach of
-// everything — the upper bound) and a digest-weighted row (satisfaction
-// steering enabled).
+// everything — the upper bound).
 //
 // The regression gate (scripts/check_bench_regression.py --mode
 // federation) requires ring/budget-4 scarce goodput >= 1.5x ring/budget-1,
@@ -145,7 +144,6 @@ struct SweepRow {
   std::string label;
   const char* topology = "";
   uint32_t hop_budget = 0;
-  double digest_weight = 0;
   double wall_ms = 0;
   metrics::RunSummary summary;
   int64_t scarce_finalized = 0;
@@ -153,14 +151,12 @@ struct SweepRow {
 };
 
 SweepRow RunSweepRow(const char* label, federation::TopologyKind topology,
-                     uint32_t hop_budget, double digest_weight,
-                     uint64_t seed, double duration) {
+                     uint32_t hop_budget, uint64_t seed, double duration) {
   experiments::ScenarioConfig config = ScarcityConfig(seed, duration);
   config.federation.enabled = true;
   config.federation.topology = topology;
   config.federation.hop_budget = hop_budget;
   config.federation.degree = 4;
-  config.federation.digest_weight = digest_weight;
 
   ScarceCounters counters;
   const auto start = std::chrono::steady_clock::now();
@@ -177,7 +173,6 @@ SweepRow RunSweepRow(const char* label, federation::TopologyKind topology,
   row.topology =
       topology == federation::TopologyKind::kRing ? "ring" : "mesh";
   row.hop_budget = hop_budget;
-  row.digest_weight = digest_weight;
   row.wall_ms = wall_ms;
   row.summary = result.summary;
   row.scarce_finalized = counters.finalized();
@@ -270,16 +265,11 @@ AllocAudit MeasureForwardAllocations() {
   federation.Build(fed_config, shard_count, &directory);
 
   for (uint32_t s = 0; s < shard_count; ++s) {
-    mediators[s]->ConfigureSharding(&shards, s, &directory, mediator_ptrs);
-    mediators[s]->ConfigureFederation(&federation);
+    mediators[s]->ConfigureSharding(&shards, s, &federation, mediator_ptrs);
     mediators[s]->ProvisionInflight(256);
   }
-  shards.AddBarrierHook([&](double) {
-    directory.RefreshIfChanged(registry);
-    for (core::Mediator* m : mediator_ptrs) {
-      m->PublishFederationDigest(&federation.digest());
-    }
-  });
+  shards.AddBarrierHook(
+      [&](double) { directory.RefreshIfChanged(registry); });
 
   model::QueryId next_id = 0;
   double horizon = 0;
@@ -355,17 +345,15 @@ int main() {
 
   std::vector<SweepRow> rows;
   rows.push_back(RunSweepRow("ring-b1", federation::TopologyKind::kRing, 1,
-                             0.0, seed, duration));
+                             seed, duration));
   rows.push_back(RunSweepRow("ring-b2", federation::TopologyKind::kRing, 2,
-                             0.0, seed, duration));
+                             seed, duration));
   rows.push_back(RunSweepRow("ring-b4", federation::TopologyKind::kRing, 4,
-                             0.0, seed, duration));
+                             seed, duration));
   rows.push_back(RunSweepRow("ring-b7", federation::TopologyKind::kRing, 7,
-                             0.0, seed, duration));
+                             seed, duration));
   rows.push_back(RunSweepRow("mesh-b1", federation::TopologyKind::kFullMesh,
-                             1, 0.0, seed, duration));
-  rows.push_back(RunSweepRow("ring-b4-digest", federation::TopologyKind::kRing,
-                             4, 2.0, seed, duration));
+                             1, seed, duration));
 
   const SweepRow& b1 = rows[0];
   const SweepRow& b4 = rows[2];
@@ -401,7 +389,6 @@ int main() {
     json.Field("row", row.label);
     json.Field("topology", row.topology);
     json.Field("hop_budget", row.hop_budget);
-    json.Field("digest_weight", row.digest_weight, 3);
     json.Field("wall_ms", row.wall_ms, 1);
     json.Field("queries", row.summary.queries_submitted);
     json.Field("queries_finalized", row.summary.queries_finalized);

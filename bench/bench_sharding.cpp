@@ -44,6 +44,7 @@
 #include "core/shard_directory.h"
 #include "experiments/demo_scenarios.h"
 #include "experiments/runner.h"
+#include "federation/federation.h"
 #include "model/reputation.h"
 #include "sim/shard_set.h"
 
@@ -214,8 +215,10 @@ AllocRow MeasureShardedAllocations(uint32_t shard_count, size_t providers,
   }
   core::ShardDirectory directory;
   directory.Refresh(registry);
+  federation::Federation federation;
+  federation.Build(federation::FederationConfig{}, shard_count, &directory);
   for (uint32_t s = 0; s < shard_count; ++s) {
-    mediators[s]->ConfigureSharding(&shards, s, &directory, mediator_ptrs);
+    mediators[s]->ConfigureSharding(&shards, s, &federation, mediator_ptrs);
   }
   BenchMembership membership;
   membership.registry = &registry;

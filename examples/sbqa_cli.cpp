@@ -10,7 +10,7 @@
 ///            [--k=N] [--kn=N] [--omega=adaptive|0..1]
 ///            [--score-kernel=batched|exact]
 ///            [--federation-hops=N] [--federation-topology=mesh|ring|kregular]
-///            [--federation-degree=N] [--federation-digest-weight=W]
+///            [--federation-degree=N]
 ///            [--fault-profile=none|drops|delays|crashes|chaos]
 ///            [--fault-seed=N] [--deadline-ms=N] [--max-retries=N]
 ///            [--churn] [--joins] [--charts] [--json] [--list-methods]
@@ -19,12 +19,11 @@
 /// the multi-core sharded engine (one scheduler per shard, epoch-applied
 /// membership); with --mediators=M each shard runs a group of M mediators
 /// behind a shared scheduler (the first is the shard's federation
-/// gateway); every other flag composes with it. --federation-hops=N
-/// (N >= 1) enables multi-hop borrow chains between shard gateways over
-/// the --federation-topology peer graph; hops=1 on the mesh reproduces
-/// the legacy one-hop delegation bit-for-bit, while
-/// --federation-digest-weight > 0 biases donor choice by the
-/// satisfaction digests exchanged at barriers.
+/// gateway); every other flag composes with it. A shard whose candidate
+/// pool is dry for a class borrows through a chain of shards:
+/// --federation-hops=N (N >= 1) sets the chain's hop budget over the
+/// --federation-topology peer graph (default: one hop over the full mesh,
+/// to the least-loaded donor).
 /// --fault-profile interposes the deterministic fault plane between each
 /// mediator and its scheduler (seeded by --fault-seed, independent of the
 /// run seed); --deadline-ms stamps a per-query deadline and --max-retries
@@ -63,10 +62,9 @@ struct Flags {
   size_t kn = 8;
   std::string omega = "adaptive";
   std::string score_kernel = "batched";
-  int federation_hops = 0;  // 0 = federation off (legacy delegation)
+  int federation_hops = 0;  // 0 = default chains (one hop, full mesh)
   std::string federation_topology = "mesh";
   size_t federation_degree = 4;
-  double federation_digest_weight = 0;
   std::string fault_profile = "none";
   uint64_t fault_seed = 1;
   double deadline_ms = 0;
@@ -99,7 +97,6 @@ int Usage() {
       "                [--federation-hops=N]\n"
       "                [--federation-topology=mesh|ring|kregular]\n"
       "                [--federation-degree=N]\n"
-      "                [--federation-digest-weight=W]\n"
       "                [--fault-profile=%s]\n"
       "                [--fault-seed=N] [--deadline-ms=N] [--max-retries=N]\n"
       "                [--churn] [--joins] [--charts] [--json]\n"
@@ -174,8 +171,6 @@ int main(int argc, char** argv) {
       flags.federation_topology = value;
     } else if (ParseFlag(argv[i], "--federation-degree", &value)) {
       flags.federation_degree = static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (ParseFlag(argv[i], "--federation-digest-weight", &value)) {
-      flags.federation_digest_weight = std::atof(value.c_str());
     } else if (ParseFlag(argv[i], "--fault-profile", &value)) {
       flags.fault_profile = value;
     } else if (ParseFlag(argv[i], "--fault-seed", &value)) {
@@ -200,8 +195,7 @@ int main(int argc, char** argv) {
   }
   if (flags.volunteers == 0 || flags.duration <= 0 || flags.mediators == 0 ||
       flags.shards == 0 || flags.deadline_ms < 0 || flags.max_retries < 0 ||
-      flags.federation_hops < 0 || flags.federation_degree < 2 ||
-      flags.federation_digest_weight < 0) {
+      flags.federation_hops < 0 || flags.federation_degree < 2) {
     return Usage();
   }
 
@@ -224,7 +218,6 @@ int main(int argc, char** argv) {
         static_cast<uint32_t>(flags.federation_hops);
     config.federation.degree =
         static_cast<uint32_t>(flags.federation_degree);
-    config.federation.digest_weight = flags.federation_digest_weight;
     if (!federation::TopologyFromName(flags.federation_topology.c_str(),
                                       &config.federation.topology)) {
       std::fprintf(stderr,

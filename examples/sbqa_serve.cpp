@@ -12,8 +12,7 @@
 ///              [--fault-profile=none|drops|delays|crashes|chaos]
 ///              [--deadline-ms=N] [--max-retries=N] [--max-pending=N]
 ///              [--federation-hops=N] [--federation-topology=mesh|ring|kregular]
-///              [--federation-degree=N] [--federation-digest-weight=W]
-///              [--json]
+///              [--federation-degree=N] [--json]
 ///
 /// --score-kernel selects the decision-path scoring kernel (the batched
 /// SoA planes by default; exact = the per-candidate std::pow pipeline);
@@ -32,11 +31,11 @@
 /// live per-shard stats line — queries/s, pending, shed and cross-shard
 /// borrow counts — read at a quiescent barrier via Engine::ShardStats().
 ///
-/// --federation-hops=N (sharded only) enables multi-hop borrow chains: a
-/// dry shard forwards mediator-to-mediator up to N hops instead of the
-/// single-hop delegation. --federation-topology / --federation-degree pick
-/// the peer graph, --federation-digest-weight blends the cross-shard
-/// satisfaction exchange into forward scoring (0 = pure load metric).
+/// A shard whose candidate pool is dry for a class borrows through a chain
+/// of shards (sharded only): --federation-hops=N lets the chain forward
+/// mediator-to-mediator up to N hops (default one hop, to the
+/// least-loaded donor), and --federation-topology / --federation-degree
+/// pick the peer graph (default: full mesh).
 
 #include <algorithm>
 #include <atomic>
@@ -67,10 +66,9 @@ struct Flags {
   double deadline_ms = 0;
   int max_retries = 0;
   long max_pending = 0;
-  int federation_hops = 0;  // 0 = federation off (legacy delegation)
+  int federation_hops = 0;  // 0 = default chains (one hop, full mesh)
   std::string federation_topology = "mesh";
   int federation_degree = 4;
-  double federation_digest_weight = 0;
   bool json = false;
 };
 
@@ -117,8 +115,6 @@ int main(int argc, char** argv) {
       flags.federation_topology = value;
     } else if (ParseFlag(argv[i], "--federation-degree", &value)) {
       flags.federation_degree = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--federation-digest-weight", &value)) {
-      flags.federation_digest_weight = std::atof(value.c_str());
     } else if (std::strcmp(argv[i], "--json") == 0) {
       flags.json = true;
     } else {
@@ -131,8 +127,7 @@ int main(int argc, char** argv) {
                    "[--max-pending=N]\n"
                    "                  [--federation-hops=N] "
                    "[--federation-topology=mesh|ring|kregular]\n"
-                   "                  [--federation-degree=N] "
-                   "[--federation-digest-weight=W] [--json]\n",
+                   "                  [--federation-degree=N] [--json]\n",
                    rt::FaultProfileNames().c_str());
       return 2;
     }
@@ -140,7 +135,7 @@ int main(int argc, char** argv) {
   if (flags.queries <= 0 || flags.rate <= 0 || flags.providers <= 0 ||
       flags.shards <= 0 || flags.deadline_ms < 0 || flags.max_retries < 0 ||
       flags.max_pending < 0 || flags.federation_hops < 0 ||
-      flags.federation_degree < 2 || flags.federation_digest_weight < 0) {
+      flags.federation_degree < 2) {
     return 2;
   }
 
@@ -168,8 +163,6 @@ int main(int argc, char** argv) {
   // Short safety-net timeout: the sweep then passes often enough for the
   // FIFO timeout ring to stay compact at steady state.
   options.query_timeout = 2.0;
-  // A small wheel (128 ms rotation) converges each bucket's capacity fast.
-  options.wallclock.wheel_slots = 128;
   if (!rt::FaultProfileByName(flags.fault_profile, &options.fault_plan)) {
     std::fprintf(stderr, "unknown fault profile: %s (known: %s)\n",
                  flags.fault_profile.c_str(),
@@ -195,7 +188,6 @@ int main(int argc, char** argv) {
     options.federation.hop_budget =
         static_cast<uint32_t>(flags.federation_hops);
     options.federation.degree = static_cast<uint32_t>(flags.federation_degree);
-    options.federation.digest_weight = flags.federation_digest_weight;
     if (!federation::TopologyFromName(flags.federation_topology.c_str(),
                                       &options.federation.topology)) {
       std::fprintf(stderr,

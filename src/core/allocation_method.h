@@ -19,6 +19,13 @@ namespace sbqa::core {
 
 class Mediator;
 
+/// A consumer's Equation-2 standing: Definition-1 satisfaction, and
+/// whether any of their queries completed yet (cold start otherwise).
+struct ConsumerStanding {
+  double satisfaction = 0;
+  bool has_samples = false;
+};
+
 /// Read-only view handed to an allocation method for one mediation.
 struct AllocationContext {
   /// The query being allocated.
@@ -29,6 +36,11 @@ struct AllocationContext {
   const CandidateSet* candidates = nullptr;
   /// Back-pointer for provider state, intentions, satisfaction and RNG.
   Mediator* mediator = nullptr;
+  /// For a borrowed query, the consumer's standing as their home shard
+  /// snapshotted it when the borrow chain started; null for local queries,
+  /// which read the live consumer. The consumer belongs to another shard,
+  /// so a borrowing shard must not read its live state.
+  const ConsumerStanding* consumer_standing = nullptr;
   /// Current simulation time.
   double now = 0;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/shard_directory.h"
 #include "federation/federation.h"
 #include "util/check.h"
 
@@ -69,66 +68,24 @@ void Mediator::NotifyPeersProviderGone(model::ProviderId provider) {
 }
 
 void Mediator::ConfigureSharding(rt::ShardFabric* shards, uint32_t shard,
-                                 const ShardDirectory* directory,
+                                 const federation::Federation* federation,
                                  std::vector<Mediator*> shard_mediators) {
   SBQA_CHECK(shards != nullptr);
-  SBQA_CHECK(directory != nullptr);
+  SBQA_CHECK(federation != nullptr);
   SBQA_CHECK_LT(shard, shards->shard_count());
   SBQA_CHECK_EQ(shard_mediators.size(),
                 static_cast<size_t>(shards->shard_count()));
+  SBQA_CHECK_EQ(federation->peers().shard_count(), shards->shard_count());
   // shard_mediators[s] is shard s's GATEWAY: the mediator that receives
-  // cross-shard traffic (delegated/forwarded queries, re-homed outcomes)
-  // for that shard. With one mediator per shard that is this mediator;
-  // in a per-shard mediator group only the first group member is the
-  // gateway and the others still delegate THROUGH the gateway list.
+  // cross-shard traffic (forwarded queries, re-homed outcomes) for that
+  // shard. With one mediator per shard that is this mediator; in a
+  // per-shard mediator group only the first group member is the gateway,
+  // and the others start chains with tickets from the gateway's pool.
   SBQA_CHECK(shard_mediators[shard] != nullptr);
   shard_set_ = shards;
   shard_id_ = shard;
-  directory_ = directory;
-  shard_mediators_ = std::move(shard_mediators);
-}
-
-void Mediator::ConfigureFederation(const federation::Federation* federation) {
-  SBQA_CHECK(federation != nullptr);
-  SBQA_CHECK(shard_set_ != nullptr);  // sharding must be wired first
-  SBQA_CHECK_EQ(federation->peers().shard_count(),
-                static_cast<uint32_t>(shard_mediators_.size()));
   federation_ = federation;
-}
-
-void Mediator::PublishFederationDigest(
-    federation::SatisfactionDigest* digest) const {
-  // Shard-level mean over everything this shard mediated (the fallback
-  // for classes without their own row), then the per-class rows.
-  double sum = 0;
-  int64_t count = 0;
-  for (const ClassSatisfaction& acc : class_satisfaction_) {
-    sum += acc.sum;
-    count += acc.count;
-  }
-  const double shard_satisfaction =
-      count > 0 ? sum / static_cast<double>(count)
-                : federation::SatisfactionDigest::kNeutral;
-  digest->BeginShard(shard_id_, shard_satisfaction);
-  for (size_t c = 0; c < class_satisfaction_.size(); ++c) {
-    const ClassSatisfaction& acc = class_satisfaction_[c];
-    if (acc.count > 0) {
-      digest->RecordClass(shard_id_, static_cast<model::QueryClassId>(c),
-                          acc.sum / static_cast<double>(acc.count));
-    }
-  }
-}
-
-void Mediator::RecordClassSatisfaction(model::QueryClassId query_class,
-                                       double satisfaction) {
-  if (federation_ == nullptr || query_class < 0) return;
-  const size_t index = static_cast<size_t>(query_class);
-  if (class_satisfaction_.size() <= index) {
-    class_satisfaction_.resize(index + 1);
-  }
-  ClassSatisfaction& acc = class_satisfaction_[index];
-  acc.sum += satisfaction;
-  ++acc.count;
+  shard_mediators_ = std::move(shard_mediators);
 }
 
 void Mediator::ScheduleDepartureSweep() {
@@ -261,10 +218,12 @@ void Mediator::ProvisionInflight(size_t slots) {
   // (timeout window x arrival rate), which steady traffic pins during
   // warm-up once the capacity survives compaction (erase/clear keep it).
   timeout_ring_.reserve(2 * slots);
-  // Federation: every chain this shard originates holds one route ticket
-  // until its outcome re-homes, and a query is a chain at most once — the
-  // in-flight cap bounds live routes too.
-  if (federation_ != nullptr) route_pool_.Provision(slots);
+  // Sharded gateway: every chain this shard originates holds one route
+  // ticket until its outcome re-homes, and a query is a chain at most
+  // once — the in-flight cap bounds live routes too.
+  if (federation_ != nullptr && shard_mediators_[shard_id_] == this) {
+    route_pool_.Provision(slots);
+  }
 }
 
 void Mediator::LinkProviderInflight(model::ProviderId provider,
@@ -302,34 +261,19 @@ void Mediator::SubmitQuery(model::Query query) {
 }
 
 void Mediator::OnQueryArrival(model::Query query) {
-  Mediate(std::move(query), shard_id_);
-}
-
-void Mediator::OnDelegatedQuery(model::Query query, uint32_t origin_shard) {
-  ++stats_.queries_borrowed;
-  Mediate(std::move(query), origin_shard);
-}
-
-bool Mediator::TryDelegate(const model::Query& query) {
-  if (shard_set_ == nullptr) return false;
-  const uint32_t target =
-      directory_->FindShardWith(query.query_class, shard_id_);
-  if (target == ShardDirectory::kNoShard) return false;
-  ++stats_.queries_delegated;
-  Mediator* peer = shard_mediators_[target];
-  const uint32_t origin = shard_id_;
-  shard_set_->PostTo(shard_id_, target, rt_->now() + OneWayLatency(),
-                     rt::TaskFn([peer, query, origin] {
-                       peer->OnDelegatedQuery(query, origin);
-                     }));
-  return true;
+  Mediate(std::move(query), nullptr);
 }
 
 federation::RouteState* Mediator::AcquireRoute() {
-  const uint64_t handle = route_pool_.Acquire();
+  // The gateway owns the shard's tickets: re-homed outcomes land on it,
+  // and it releases them into the same pool. Group members share its
+  // shard context, so drawing from it here is single-threaded.
+  util::StableSlotPool<federation::RouteState>& pool =
+      shard_mediators_[shard_id_]->route_pool_;
+  const uint64_t handle = pool.Acquire();
   const uint32_t slot =
       util::StableSlotPool<federation::RouteState>::SlotOf(handle);
-  federation::RouteState& route = route_pool_.at(slot);
+  federation::RouteState& route = pool.at(slot);
   route.Begin(shard_id_, federation_->hop_budget());
   route.slot = slot;
   return &route;
@@ -351,9 +295,13 @@ bool Mediator::TryForward(const model::Query& query,
   if (target == federation::Federation::kNoShard) return false;
   if (route == nullptr) {
     // Chain start: this shard is the origin and owns the ticket until the
-    // outcome re-homes. Counted as delegated — with hop_budget=1 the chain
-    // IS the legacy one-hop borrow, stats included.
+    // outcome re-homes. Counted as delegated.
     route = AcquireRoute();
+    const ConsumerSatisfactionTracker& tracker =
+        registry_->consumer(query.consumer).satisfaction_tracker();
+    route->consumer_has_samples = tracker.sample_count() > 0;
+    route->consumer_satisfaction =
+        route->consumer_has_samples ? tracker.satisfaction() : 0.0;
     ++stats_.queries_delegated;
   } else {
     // Mid-chain relay at a dry intermediate.
@@ -373,12 +321,12 @@ bool Mediator::TryForward(const model::Query& query,
 
 void Mediator::OnForwardedQuery(model::Query query,
                                 federation::RouteState* route) {
-  Mediate(std::move(query), route->origin_shard, route);
+  Mediate(std::move(query), route);
 }
 
-void Mediator::RouteOutcomeHome(uint32_t origin_shard,
-                                const QueryOutcome& outcome,
+void Mediator::RouteOutcomeHome(const QueryOutcome& outcome,
                                 federation::RouteState* route) {
+  const uint32_t origin_shard = route->origin_shard;
   Mediator* home = shard_mediators_[origin_shard];
   // The outcome rides home in a pooled slab slot owned by this (the
   // performing) shard: the mailbox closure carries {home, this, payload,
@@ -391,21 +339,13 @@ void Mediator::RouteOutcomeHome(uint32_t origin_shard,
   const uint32_t slot = AcquireOutboundOutcome(outcome);
   const QueryOutcome* payload = &outbound_outcomes_[slot];
   Mediator* self = this;
-  if (route != nullptr) {
-    // Federation chain: the outcome re-homes DIRECTLY to the origin (one
-    // mailbox hop — the full mesh of the fabric's mailboxes makes relaying
-    // back along the recorded path pure latency), carrying the route so
-    // the origin can release the ticket from its own pool.
-    federation::RouteState* r = route;
-    shard_set_->PostTo(shard_id_, origin_shard, rt_->now() + OneWayLatency(),
-                       rt::TaskFn([home, self, payload, slot, r] {
-                         home->OnForwardedOutcome(*payload, self, slot, r);
-                       }));
-    return;
-  }
+  // The outcome re-homes DIRECTLY to the origin (one mailbox hop — the
+  // full mesh of the fabric's mailboxes makes relaying back along the
+  // recorded path pure latency), carrying the route so the origin can
+  // release the ticket from its own pool.
   shard_set_->PostTo(shard_id_, origin_shard, rt_->now() + OneWayLatency(),
-                     rt::TaskFn([home, self, payload, slot] {
-                       home->OnDelegatedOutcome(*payload, self, slot);
+                     rt::TaskFn([home, self, payload, slot, route] {
+                       home->OnForwardedOutcome(*payload, self, slot, route);
                      }));
 }
 
@@ -429,14 +369,17 @@ void Mediator::ReleaseOutboundOutcome(uint32_t slot) {
   outbound_free_.push_back(slot);
 }
 
-void Mediator::OnDelegatedOutcome(const QueryOutcome& outcome,
-                                  Mediator* performer, uint32_t slot) {
+void Mediator::OnForwardedOutcome(const QueryOutcome& outcome,
+                                  Mediator* performer, uint32_t slot,
+                                  federation::RouteState* route) {
   // Copy into the home scratch (same reused buffer every finalize runs
   // through) and re-stamp arrival-side timing: the response time the
-  // consumer experienced includes the two mailbox hops of the borrow
-  // round trip.
+  // consumer experienced includes the mailbox hops of the borrow chain.
+  // This is the origin shard, so the route slot goes back to the local
+  // pool — the free list is only ever touched on its owning context.
   outcome_scratch_ = outcome;
-  FinalizeOutcome(shard_id_, &outcome_scratch_);
+  ReleaseRoute(route);
+  FinalizeOutcome(&outcome_scratch_, nullptr);
   // Hand the slab slot back to its owner over the mailbox: the free list
   // must only ever be touched on the performer's own context, and the
   // barrier that carries this message orders the release after the read
@@ -449,48 +392,20 @@ void Mediator::OnDelegatedOutcome(const QueryOutcome& outcome,
                      }));
 }
 
-void Mediator::OnForwardedOutcome(const QueryOutcome& outcome,
-                                  Mediator* performer, uint32_t slot,
-                                  federation::RouteState* route) {
-  // Same shape as OnDelegatedOutcome, plus retiring the chain's ticket:
-  // this is the origin shard, so the route slot goes back to the local
-  // pool — the free list is only ever touched on its owning context.
-  outcome_scratch_ = outcome;
-  ReleaseRoute(route);
-  FinalizeOutcome(shard_id_, &outcome_scratch_);
-  shard_set_->PostTo(shard_id_, performer->shard_id_, rt_->now(),
-                     rt::TaskFn([performer, slot] {
-                       performer->ReleaseOutboundOutcome(slot);
-                     }));
-}
-
-void Mediator::Mediate(model::Query query, uint32_t origin_shard,
-                       federation::RouteState* route) {
+void Mediator::Mediate(model::Query query, federation::RouteState* route) {
   // Index-backed Pq view over this shard's partition: O(1) to build and to
   // test for emptiness; the method decides whether to sample it (O(k)) or
   // materialize it (full-scan baselines, into the reused scratch buffer).
   const CandidateSet candidates =
       registry_->CandidatesForShard(shard_id_, query, &candidate_scratch_);
   if (candidates.empty()) {
-    if (route != nullptr) {
-      // Mid-chain and dry here too: relay onward while the hop budget
-      // lasts; otherwise this shard is the chain's terminal and reports
-      // unallocated home (counted as the borrow it consumed).
-      if (TryForward(query, route)) return;
-      ++stats_.queries_borrowed;
-      FinalizeUnallocated(query, origin_shard, route);
-      return;
-    }
-    // Borrow path — only for this shard's own queries: a borrowed query
-    // whose target pool went dry since the directory snapshot reports
-    // unallocated at home rather than bouncing between shards.
-    if (origin_shard == shard_id_) {
-      if (federation_ != nullptr ? TryForward(query, nullptr)
-                                 : TryDelegate(query)) {
-        return;
-      }
-    }
-    FinalizeUnallocated(query, origin_shard);
+    // Dry here: start a borrow chain for an own query, or relay a borrowed
+    // one onward while its hop budget lasts. Otherwise the query finalizes
+    // unallocated — at home, or at this terminal shard of its chain
+    // (counted as the borrow the chain consumed).
+    if (TryForward(query, route)) return;
+    if (route != nullptr) ++stats_.queries_borrowed;
+    FinalizeUnallocated(query, route);
     return;
   }
 
@@ -500,7 +415,6 @@ void Mediator::Mediate(model::Query query, uint32_t origin_shard,
   const InflightHandle h = AcquireInflight();
   InFlight& f = inflight_pool_.at(SlotOf(h));
   f.query = query;
-  f.origin_shard = origin_shard;
   f.route = route;
   if (query.deadline > 0) f.abs_deadline = query.issued_at + query.deadline;
   Allocate(h, candidates);
@@ -513,6 +427,12 @@ void Mediator::Allocate(InflightHandle h, const CandidateSet& candidates) {
   ctx.candidates = &candidates;
   ctx.mediator = this;
   ctx.now = rt_->now();
+  ConsumerStanding standing;
+  if (f.route != nullptr) {
+    standing.satisfaction = f.route->consumer_satisfaction;
+    standing.has_samples = f.route->consumer_has_samples;
+    ctx.consumer_standing = &standing;
+  }
   method_->Allocate(ctx, &f.decision);
   AllocationDecision& decision = f.decision;
 
@@ -591,10 +511,9 @@ void Mediator::Dispatch(InflightHandle h) {
     // The method could not (or chose not to) allocate anybody, e.g. an
     // economic mediation with no affordable bid.
     const model::Query query = f->query;
-    const uint32_t origin_shard = f->origin_shard;
     federation::RouteState* route = f->route;
     ReleaseInflight(h);
-    FinalizeUnallocated(query, origin_shard, route);
+    FinalizeUnallocated(query, route);
     return;
   }
 
@@ -854,17 +773,17 @@ QueryOutcome& Mediator::BeginOutcome(const model::Query& query) {
   return outcome;
 }
 
-void Mediator::FinalizeOutcome(uint32_t origin_shard, QueryOutcome* outcome,
+void Mediator::FinalizeOutcome(QueryOutcome* outcome,
                                federation::RouteState* route) {
   outcome->completed_at = rt_->now();
   outcome->response_time = rt_->now() - outcome->query.issued_at;
-  if (origin_shard == shard_id_) {
-    // Chains never revisit their origin (visited bitmap), so a route here
-    // would mean the ticket leaked past its release.
-    SBQA_DCHECK(route == nullptr);
+  if (route == nullptr) {
     RecordConsumerOutcome(outcome);
   } else {
-    RouteOutcomeHome(origin_shard, *outcome, route);
+    // Chains never revisit their origin (visited bitmap), so a borrowed
+    // query always finalizes away from home.
+    SBQA_DCHECK(route->origin_shard != shard_id_);
+    RouteOutcomeHome(*outcome, route);
   }
 }
 
@@ -885,12 +804,8 @@ void Mediator::Finalize(InflightHandle h, bool timed_out) {
   QueryOutcome& outcome = BeginOutcome(f->query);
   outcome.timed_out = timed_out;
   outcome.attempts = f->attempt;
-  // Hop count of the borrow that brought the query here: a federation
-  // chain knows its length; the legacy delegation path is one hop by
-  // construction.
-  outcome.hops = f->route != nullptr
-                     ? static_cast<int>(f->route->hops)
-                     : (f->origin_shard != shard_id_ ? 1 : 0);
+  // Hop count of the borrow chain that brought the query here (0 local).
+  outcome.hops = f->route != nullptr ? static_cast<int>(f->route->hops) : 0;
 
   performer_intentions_scratch_.clear();
   for (Instance& inst : f->instances) {
@@ -919,29 +834,19 @@ void Mediator::Finalize(InflightHandle h, bool timed_out) {
       outcome.satisfaction, f->decision.consumer_intentions,
       f->query.n_results);
 
-  // This shard did the mediating, so this shard's digest row learns from
-  // the result — regardless of which shard the query came from.
-  RecordClassSatisfaction(f->query.query_class, outcome.satisfaction);
-
-  const uint32_t origin_shard = f->origin_shard;
   federation::RouteState* route = f->route;
   ReleaseInflight(h);
-  FinalizeOutcome(origin_shard, &outcome, route);
+  FinalizeOutcome(&outcome, route);
 }
 
 void Mediator::FinalizeUnallocated(const model::Query& query,
-                                   uint32_t origin_shard,
                                    federation::RouteState* route) {
   ++stats_.queries_unallocated;
   QueryOutcome& outcome = BeginOutcome(query);
   outcome.unallocated = true;
   outcome.allocation_satisfaction = 1;  // nothing was achievable
-  outcome.hops = route != nullptr ? static_cast<int>(route->hops)
-                                  : (origin_shard != shard_id_ ? 1 : 0);
-  // A dry finalization is the strongest negative signal the digest can
-  // carry for this class.
-  RecordClassSatisfaction(query.query_class, 0.0);
-  FinalizeOutcome(origin_shard, &outcome, route);
+  outcome.hops = route != nullptr ? static_cast<int>(route->hops) : 0;
+  FinalizeOutcome(&outcome, route);
 }
 
 // --- Retry & health ----------------------------------------------------------
@@ -1018,7 +923,7 @@ void Mediator::BeginRetry(InflightHandle h) {
     // Every candidate already failed this query (or the pool went dry
     // between attempts). Finalize decides: yet another backoff if budget
     // remains (a suspected provider may be probed back in meanwhile), else
-    // terminal failure. No cross-shard delegation for retries — the
+    // terminal failure. No cross-shard borrowing for retries — the
     // tried-set and outcome routing stay local.
     Finalize(h, /*timed_out=*/false);
     return;

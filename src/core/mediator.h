@@ -54,12 +54,9 @@ class Simulation;
 
 namespace sbqa::federation {
 class Federation;
-class SatisfactionDigest;
 }  // namespace sbqa::federation
 
 namespace sbqa::core {
-
-class ShardDirectory;
 
 /// Mediator-level configuration.
 struct MediatorConfig {
@@ -113,15 +110,15 @@ struct MediatorStats {
   int64_t provider_departures = 0;
   int64_t provider_offline_events = 0;  ///< churn, not dissatisfaction
   int64_t consumer_retirements = 0;
-  /// Cross-shard borrow protocol (sharded mode only): queries this
-  /// mediator forwarded to a peer shard because its own candidate pool for
-  /// the class was dry, and queries it mediated on behalf of a peer.
+  /// Cross-shard borrow chains (sharded mode only): queries this mediator
+  /// started a chain for because its own candidate pool for the class was
+  /// dry (delegated), relayed onward mid-chain because its pool was dry too
+  /// (forwarded), and ended a chain for — mediated on behalf of the origin
+  /// or finalized unallocated there (borrowed). A chain of h hops counts
+  /// 1 delegated at the origin, h-1 forwarded at intermediates and 1
+  /// borrowed at the terminal shard.
   int64_t queries_delegated = 0;
   int64_t queries_borrowed = 0;
-  /// Federation multi-hop chains: queries this mediator relayed onward
-  /// mid-chain (its own pool was dry for a query it did not originate).
-  /// A chain of h hops counts 1 delegated at the origin, h-1 forwarded at
-  /// intermediates and 1 borrowed at the terminal shard.
   int64_t queries_forwarded = 0;
   /// Histogram of hop counts over finalized queries (consumer-side, like
   /// queries_finalized): borrow_hops[0] are locally-mediated queries,
@@ -190,34 +187,21 @@ class Mediator {
 
   /// Sharded mode: wires this mediator as shard `shard`'s mediator of a
   /// shard fabric (sim::ShardSet or rt::WallClockShardSet). Its candidate
-  /// pool becomes registry partition `shard`, its
-  /// departure sweep covers only shard-owned participants, and a dry
-  /// candidate pool triggers the cross-shard borrow path: the query is
-  /// forwarded over the mailbox to the first shard (fixed wrap-around
-  /// order, per `directory`) that has candidates for the class, mediated
-  /// there against that shard's providers, and the outcome is routed back
+  /// pool becomes registry partition `shard`, its departure sweep covers
+  /// only shard-owned participants, and a dry candidate pool starts a
+  /// borrow chain through `federation`'s peer topology: the query travels
+  /// over the mailbox until a shard with candidates for the class mediates
+  /// it against that shard's providers, and the outcome is routed back
   /// here for the consumer-side bookkeeping — so provider state is only
   /// ever touched by its owning shard, and consumer state by its own.
-  /// `shards` and `directory` must outlive the mediator;
-  /// `shard_mediators[s]` is shard s's mediator (including this one).
+  /// `shards` and `federation` must outlive the mediator; the federation
+  /// is shared read-only by every shard's mediator during windows.
+  /// `shard_mediators[s]` is shard s's GATEWAY, the mediator that receives
+  /// cross-shard traffic for that shard (this one, or the first member of
+  /// this mediator's per-shard group).
   void ConfigureSharding(rt::ShardFabric* shards, uint32_t shard,
-                         const ShardDirectory* directory,
+                         const federation::Federation* federation,
                          std::vector<Mediator*> shard_mediators);
-
-  /// Federation mode (requires ConfigureSharding first): a dry pool routes
-  /// queries through `federation`'s peer topology as multi-hop borrow
-  /// chains instead of the single-hop TryDelegate, scored by the
-  /// barrier-published satisfaction digest. `federation` must outlive the
-  /// mediator and is shared read-only by every shard's mediator during
-  /// windows. With hop_budget=1 on the full mesh (digest_weight 0) the
-  /// chain path is behaviorally identical to legacy delegation.
-  void ConfigureFederation(const federation::Federation* federation);
-
-  /// Writes this shard's row of the cross-mediator satisfaction exchange:
-  /// its overall satisfaction mean plus one entry per query class it has
-  /// mediated. Runs on the barrier driver while workers are parked (the
-  /// ShardDirectory publish contract).
-  void PublishFederationDigest(federation::SatisfactionDigest* digest) const;
 
   /// This mediator's shard id (0 when unsharded).
   uint32_t shard() const { return shard_id_; }
@@ -225,28 +209,20 @@ class Mediator {
   // --- Cross-shard mailbox entry points (public for the EventFn closures
   // --- the mailbox delivers; not part of the user API) ---------------------
 
-  /// A peer shard's mediator forwarded `query` here (its pool was dry).
-  void OnDelegatedQuery(model::Query query, uint32_t origin_shard);
-  /// A borrowed query finalized on its executing shard; records the
-  /// consumer-side outcome at home. `outcome` points into the performer's
-  /// pooled outbound slab (stable address, untouched by the performer until
-  /// released); `slot` is mailed back to `performer` afterwards so the slab
-  /// entry recycles on its owning shard.
-  void OnDelegatedOutcome(const QueryOutcome& outcome, Mediator* performer,
-                          uint32_t slot);
   /// Mailbox return hop of the outcome slab: hands a slot whose outcome the
   /// home shard consumed back to this (the owning) mediator's free list.
   void ReleaseOutboundOutcome(uint32_t slot);
 
-  /// A federation peer forwarded `query` here on a multi-hop borrow chain;
-  /// `route` lives in the origin shard's route pool (stable address,
-  /// sequentially owned — only the shard currently holding the query
-  /// touches it, with the barrier drain as the happens-before edge).
+  /// A peer shard forwarded `query` here on a borrow chain; `route` lives
+  /// in the origin shard's route pool (stable address, sequentially owned
+  /// — only the shard currently holding the query touches it, with the
+  /// barrier drain as the happens-before edge).
   void OnForwardedQuery(model::Query query, federation::RouteState* route);
   /// Terminal hop of a chain re-homed its outcome here (this is the origin
-  /// shard): record the consumer-side outcome, release the route slot
-  /// (owned by this shard's pool), and mail the slab slot back to
-  /// `performer` like OnDelegatedOutcome does.
+  /// shard's gateway): record the consumer-side outcome, release the route
+  /// slot (owned by this mediator's pool), and mail the slab slot back to
+  /// `performer`. `outcome` points into the performer's pooled outbound
+  /// slab (stable address, untouched by the performer until released).
   void OnForwardedOutcome(const QueryOutcome& outcome, Mediator* performer,
                           uint32_t slot, federation::RouteState* route);
 
@@ -420,10 +396,6 @@ class Mediator {
     AllocationDecision decision;
     std::vector<Instance> instances;
     int pending = 0;
-    /// Shard whose consumer issued the query (== the mediator's own shard
-    /// except for borrowed queries, whose outcomes route home over the
-    /// mailbox).
-    uint32_t origin_shard = 0;
     /// Mediation attempt currently in flight (1 = first). Deadline events
     /// and late instance traffic from an abandoned attempt are recognized
     /// as stale by comparing against this.
@@ -434,9 +406,9 @@ class Mediator {
     /// Providers whose instances failed in earlier attempts; retries never
     /// select them again. Pooled — capacity survives slot reuse.
     std::vector<model::ProviderId> tried;
-    /// Federation borrow chain this query arrived on (null for local and
-    /// legacy-delegated queries). Lives in the origin shard's route pool;
-    /// finalization routes it home where it is released.
+    /// Borrow chain this query arrived on (null for local queries). Lives
+    /// in the origin shard's route pool; finalization routes the outcome
+    /// home, where the ticket is released.
     federation::RouteState* route = nullptr;
   };
 
@@ -486,34 +458,30 @@ class Mediator {
 
   void OnQueryArrival(model::Query query);
   /// The shared mediation body: allocates `query` against this shard's
-  /// candidate pool on behalf of `origin_shard`. `route` is non-null
-  /// exactly when the query arrived over a federation borrow chain.
-  void Mediate(model::Query query, uint32_t origin_shard,
-               federation::RouteState* route = nullptr);
+  /// candidate pool. `route` is non-null exactly when the query arrived
+  /// over a borrow chain (its origin is route->origin_shard).
+  void Mediate(model::Query query, federation::RouteState* route);
   /// Runs the allocation method for the query's current attempt and
   /// schedules its dispatch (shared by first attempts and retries).
   void Allocate(InflightHandle h, const CandidateSet& candidates);
-  /// Borrow path: forwards a locally unallocatable query to a peer shard
-  /// with candidates (per the directory). False when unsharded or nobody
-  /// has candidates.
-  bool TryDelegate(const model::Query& query);
-  /// Federation forward: routes a locally unallocatable query one hop
+  /// Cross-shard forward: routes a locally unallocatable query one hop
   /// along its borrow chain. With `route` null this is a chain *start*
   /// (acquire a RouteState from the pool, counts as delegated); non-null
-  /// it relays an in-flight chain (counts as forwarded). False when the
-  /// budget is spent or the scorer finds no eligible next hop.
+  /// it relays an in-flight chain (counts as forwarded). False when
+  /// unsharded, the budget is spent or the scorer finds no eligible next
+  /// hop.
   bool TryForward(const model::Query& query, federation::RouteState* route);
-  /// Pool plumbing for the borrow-chain tickets. Acquire arms the state
-  /// for a chain starting here; Release must run on this (the origin)
+  /// Pool plumbing for the borrow-chain tickets, on the shard gateway's
+  /// pool (this mediator's own when it is the gateway). Acquire arms the
+  /// state for a chain starting here; Release must run on the origin
   /// shard's context — the free list is never touched remotely.
   federation::RouteState* AcquireRoute();
   void ReleaseRoute(federation::RouteState* route);
-  /// Sends a borrowed query's outcome back to its origin shard through a
-  /// pooled slab slot (0 heap allocations per delegated query at steady
-  /// state — the mailbox closure carries a pointer, not the outcome).
-  /// `route` non-null selects the federation return hop (the origin also
-  /// releases the chain's route slot).
-  void RouteOutcomeHome(uint32_t origin_shard, const QueryOutcome& outcome,
+  /// Sends a borrowed query's outcome back to its origin shard's gateway
+  /// through a pooled slab slot (0 heap allocations per borrowed query at
+  /// steady state — the mailbox closure carries a pointer, not the
+  /// outcome), carrying the route so the origin releases its ticket.
+  void RouteOutcomeHome(const QueryOutcome& outcome,
                         federation::RouteState* route);
   /// Copies `outcome` into a free outbound slab slot (growing the slab only
   /// until its high-water mark) and returns the slot index.
@@ -553,31 +521,23 @@ class Mediator {
   void RecordProviderSuccess(model::ProviderId provider);
   void ProbeProvider(model::ProviderId provider);
   void Finalize(InflightHandle handle, bool timed_out);
-  /// Finalizes a query that never got any provider, routing the outcome to
-  /// `origin_shard`'s mediator when the query was borrowed. `route` is the
-  /// query's borrow chain (null off the federation path).
-  void FinalizeUnallocated(const model::Query& query, uint32_t origin_shard,
-                           federation::RouteState* route = nullptr);
+  /// Finalizes a query that never got any provider, routing the outcome
+  /// home when the query was borrowed (`route` non-null).
+  void FinalizeUnallocated(const model::Query& query,
+                           federation::RouteState* route);
 
   /// Resets the reusable outcome scratch and stamps the query-derived
   /// fields every finalization path shares (query, results_required).
   QueryOutcome& BeginOutcome(const model::Query& query);
   /// Shared finalization tail: stamps completion timing (completed_at /
   /// response_time as of now) and delivers the outcome — consumer-side
-  /// stats at home, or routed to `origin_shard`'s mediator over the
-  /// mailbox when the query was borrowed (`route` rides the federation
-  /// return hop).
-  void FinalizeOutcome(uint32_t origin_shard, QueryOutcome* outcome,
-                       federation::RouteState* route = nullptr);
+  /// stats at home, or routed to the origin over the mailbox when the
+  /// query was borrowed (`route` non-null).
+  void FinalizeOutcome(QueryOutcome* outcome, federation::RouteState* route);
 
   /// Records the consumer-side satisfaction values for a finalized query
   /// and runs the consumer departure check.
   void RecordConsumerOutcome(QueryOutcome* outcome);
-
-  /// Feeds the per-class digest accumulators at the MEDIATING shard (the
-  /// one whose pool served — or failed — the query). No-op off federation.
-  void RecordClassSatisfaction(model::QueryClassId query_class,
-                               double satisfaction);
 
   /// Fails every pending instance held by `provider` (departure or churn),
   /// finalizing queries whose last instance died.
@@ -613,26 +573,17 @@ class Mediator {
   /// Sharded-mode wiring (null/empty when unsharded; shard_id_ 0 then
   /// selects registry partition 0 == the whole population).
   rt::ShardFabric* shard_set_ = nullptr;
-  const ShardDirectory* directory_ = nullptr;
+  const federation::Federation* federation_ = nullptr;
   std::vector<Mediator*> shard_mediators_;
   uint32_t shard_id_ = 0;
 
-  /// Federation wiring (null = legacy single-hop delegation).
-  const federation::Federation* federation_ = nullptr;
-  /// Borrow-chain tickets for chains ORIGINATING here. Deque-backed
-  /// (stable addresses): the raw RouteState* rides cross-shard closures
-  /// while this pool may grow for other queries. Provisioned alongside the
-  /// in-flight pool so the forward path never allocates at steady state.
+  /// Borrow-chain tickets for chains ORIGINATING on this shard (used on
+  /// the gateway only; group members draw from the gateway's pool on the
+  /// same shard context). Deque-backed (stable addresses): the raw
+  /// RouteState* rides cross-shard closures while this pool may grow for
+  /// other queries. Provisioned alongside the in-flight pool so the
+  /// forward path never allocates at steady state.
   util::StableSlotPool<federation::RouteState> route_pool_;
-  /// Per-class satisfaction accumulators feeding the digest exchange
-  /// (dense by class id; only touched when federation_ is set). Recorded
-  /// at the MEDIATING shard — the digest advertises how well this shard's
-  /// pool serves each class, which is what forward scoring needs.
-  struct ClassSatisfaction {
-    double sum = 0;
-    int64_t count = 0;
-  };
-  std::vector<ClassSatisfaction> class_satisfaction_;
 
   /// Outbound outcome slab for the borrow path's re-homing hop: a deque so
   /// entries have stable addresses the home shard can read while this shard

@@ -53,6 +53,7 @@ void SbqaMethod::Allocate(const AllocationContext& ctx,
   spec.epsilon = params_.epsilon;
   spec.cold_start_consumer_satisfaction =
       params_.cold_start_consumer_satisfaction;
+  spec.consumer_standing = ctx.consumer_standing;
   kernel_.ScoreAndSelect(mediator, query, ctx.now, spec, decision);
   decision->used_intention_round = true;
 }

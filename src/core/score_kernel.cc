@@ -269,11 +269,15 @@ void ScoreKernel::ScoreAndSelect(Mediator& mediator, const model::Query& query,
   const Registry& registry = mediator.registry();
   const Consumer& consumer = registry.consumer(query.consumer);
   // Equation 2's delta_s(c), with the configured cold-start stand-in
-  // before any query completed.
-  const double consumer_satisfaction =
-      consumer.satisfaction_tracker().sample_count() == 0
-          ? spec.cold_start_consumer_satisfaction
-          : consumer.satisfaction();
+  // before any query completed — from the borrow chain's snapshot when
+  // the consumer lives on another shard.
+  const ConsumerStanding* standing = spec.consumer_standing;
+  double consumer_satisfaction = spec.cold_start_consumer_satisfaction;
+  if (standing != nullptr) {
+    if (standing->has_samples) consumer_satisfaction = standing->satisfaction;
+  } else if (consumer.satisfaction_tracker().sample_count() > 0) {
+    consumer_satisfaction = consumer.satisfaction();
+  }
   const bool batched = kind_ == ScoreKernelKind::kBatched;
 
   int64_t t = TimingNow();

@@ -51,6 +51,7 @@ namespace sbqa::core {
 class Mediator;
 class ProviderHotState;
 struct AllocationDecision;
+struct ConsumerStanding;
 
 /// Which implementation scores the decision path.
 enum class ScoreKernelKind {
@@ -84,13 +85,17 @@ struct ScoreKernelPhases {
   }
 };
 
-/// Scoring inputs of one mediation (a view over SbqaParams — kept separate
-/// so the kernel header does not depend on core/sbqa.h).
+/// Scoring inputs of one mediation (a view over SbqaParams plus the
+/// context's consumer standing — kept separate so the kernel header does
+/// not depend on core/sbqa.h).
 struct ScoreSpec {
   OmegaMode omega_mode = OmegaMode::kAdaptive;
   double fixed_omega = 0.5;
   double epsilon = 1.0;
   double cold_start_consumer_satisfaction = 0.5;
+  /// Equation 2's delta_s(c) source: AllocationContext::consumer_standing
+  /// (null = read the live consumer).
+  const ConsumerStanding* consumer_standing = nullptr;
 };
 
 class ScoreKernel {

@@ -53,32 +53,4 @@ size_t ShardDirectory::CountFor(uint32_t shard,
   return entry.generalists + restricted;
 }
 
-uint32_t ShardDirectory::FindShardWith(model::QueryClassId query_class,
-                                       uint32_t from) const {
-  const uint32_t n = shard_count();
-  if (n <= 1) return kNoShard;
-  uint32_t best = kNoShard;
-  uint64_t best_consumers = 0;
-  uint64_t best_candidates = 0;
-  for (uint32_t step = 1; step < n; ++step) {
-    const uint32_t shard = (from + step) % n;
-    const uint64_t candidates =
-        static_cast<uint64_t>(CountFor(shard, query_class));
-    if (candidates == 0) continue;
-    const uint64_t consumers =
-        static_cast<uint64_t>(entries_[shard].active_consumers);
-    // Load = consumers / candidates, compared exactly by cross-
-    // multiplication (no floating point, no tie surprises). A strict <
-    // keeps the first shard in wrap order on equal load — the
-    // deterministic tie-break.
-    if (best == kNoShard ||
-        consumers * best_candidates < best_consumers * candidates) {
-      best = shard;
-      best_consumers = consumers;
-      best_candidates = candidates;
-    }
-  }
-  return best;
-}
-
 }  // namespace sbqa::core

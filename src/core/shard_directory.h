@@ -5,11 +5,9 @@
 /// Cross-shard candidate directory: a barrier-refreshed snapshot of every
 /// shard's candidate availability (alive generalists + per-class restricted
 /// counts) and load (active consumers). When a shard's own candidate pool
-/// for a query class runs dry, its mediator consults this directory to pick
-/// the borrow target — the LEAST-LOADED donor among the shards that
-/// reported candidates for the class, where load is active consumers per
-/// candidate, with the first shard in fixed wrap-around order from the
-/// origin breaking ties — and forwards the query over the mailbox protocol.
+/// for a query class runs dry, the federation's federation::RouteScorer
+/// reads this directory to pick the next hop of the borrow chain (the
+/// least-loaded donor by active consumers per candidate).
 ///
 /// Concurrency contract: Refresh() runs only on the barrier driver thread
 /// while every shard worker is parked; shard threads treat the directory
@@ -37,8 +35,6 @@ class Registry;
 /// Per-shard candidate availability as of the last barrier.
 class ShardDirectory {
  public:
-  static constexpr uint32_t kNoShard = UINT32_MAX;
-
   /// Snapshots every partition's generalist and per-class counts, each
   /// shard's active-consumer count (the load signal) and the registry's
   /// membership epoch. Driver-thread only (see the concurrency contract
@@ -66,15 +62,6 @@ class ShardDirectory {
 
   /// Membership epoch the snapshot was taken at.
   uint64_t epoch() const { return epoch_; }
-
-  /// The least-loaded donor for `query_class`: among shards (excluding
-  /// `from`) that reported candidates, the one minimizing active consumers
-  /// per candidate; ties go to the first in fixed wrap-around order after
-  /// `from`, which keeps borrow routing deterministic and spreads
-  /// different origins' borrows over different equally-loaded targets.
-  /// kNoShard when nobody has any candidate.
-  uint32_t FindShardWith(model::QueryClassId query_class,
-                         uint32_t from) const;
 
  private:
   struct Entry {

@@ -24,6 +24,9 @@ namespace sbqa {
 
 namespace {
 
+/// Clock step of WaitIdle on the single-runtime manual clock (seconds).
+constexpr double kManualIdleStep = 0.001;
+
 /// Epoch applier of the sharded engine: routes each membership op applied
 /// by Registry::AdvanceEpoch to the owning shard's mediator and grows the
 /// reputation registry for joins. Runs on the barrier leader with every
@@ -128,8 +131,8 @@ struct Engine::Impl final : core::MediationObserver {
   std::vector<std::unique_ptr<core::Mediator>> mediators;
   std::vector<core::Mediator*> mediator_ptrs;
   core::ShardDirectory directory;
-  /// Multi-hop borrow routing planes (sharded engines with
-  /// options.federation.enabled only; see src/federation/README.md).
+  /// Borrow routing planes (sharded engines only; see
+  /// src/federation/README.md).
   federation::Federation federation;
   std::unique_ptr<EngineMembership> membership;
   /// Serializes Start/Stop against Stats/Snapshot: a probe posted to the
@@ -536,9 +539,12 @@ void Engine::Start() {
       impl.mediators.back()->AddObserver(&impl);
       impl.mediator_ptrs.push_back(impl.mediators.back().get());
     }
+    // The federation is the one cross-shard path (the default config
+    // borrows one hop over the full mesh).
+    impl.federation.Build(impl.options.federation, n, &impl.directory);
     for (uint32_t s = 0; s < n; ++s) {
       impl.mediators[s]->ConfigureSharding(impl.shard_set.get(), s,
-                                           &impl.directory,
+                                           &impl.federation,
                                            impl.mediator_ptrs);
     }
     impl.membership = std::make_unique<EngineMembership>(
@@ -551,20 +557,6 @@ void Engine::Start() {
       im->directory.RefreshIfChanged(im->registry);
     });
     impl.directory.Refresh(impl.registry);
-    if (impl.options.federation.enabled && n > 1) {
-      impl.federation.Build(impl.options.federation, n, &impl.directory);
-      for (core::Mediator* m : impl.mediator_ptrs) {
-        m->ConfigureFederation(&impl.federation);
-      }
-      // Satisfaction exchange: every barrier republishes each shard's
-      // per-(shard, class) digest row while the workers are parked; the
-      // next window's forwards read the refreshed rows.
-      impl.shard_set->AddBarrierHook([im](rt::Time) {
-        for (core::Mediator* m : im->mediator_ptrs) {
-          m->PublishFederationDigest(&im->federation.digest());
-        }
-      });
-    }
   } else {
     // Interpose the fault plane before any destination is registered so
     // the mediator's whole runtime view (sends, latency samples) goes
@@ -689,11 +681,11 @@ bool Engine::WaitIdle(double budget_seconds) {
           std::min(deadline, impl.shard_set->now() + step));
     }
   } else if (impl.options.wallclock.manual_clock) {
-    // Step at wheel-tick granularity: a single clock jump would stamp
-    // queued submissions at the end of the window, leaving their
-    // completion timers beyond it.
+    // Step in small increments: a single clock jump would stamp queued
+    // submissions at the end of the window, leaving their completion
+    // timers beyond it.
     const double deadline = impl.wall->now() + budget_seconds;
-    const double step = impl.options.wallclock.wheel_tick;
+    const double step = kManualIdleStep;
     while (impl.tickets_live.load(std::memory_order_acquire) > 0 &&
            impl.wall->now() < deadline) {
       impl.wall->AdvanceTo(std::min(deadline, impl.wall->now() + step));

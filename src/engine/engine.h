@@ -122,7 +122,7 @@ struct EngineOptions {
 
   // --- kWallClock only -------------------------------------------------------
 
-  /// Timer-wheel / service-thread tuning. `wallclock.seed` is overridden
+  /// Timer / service-thread tuning. `wallclock.seed` is overridden
   /// by `seed`; `wallclock.manual_clock` turns the engine into a
   /// caller-driven replay executor (AdvanceTo instead of a service
   /// thread) — the deterministic-test seam.
@@ -147,13 +147,12 @@ struct EngineOptions {
   /// letting buffered cross-shard traffic ripen a whole tick (0 = barriers
   /// fire on time only).
   size_t shard_outbox_fill = 64;
-  /// Multi-hop borrow federation between shards (sharded engines only;
-  /// ignored at shards == 1). When enabled, a dry shard's query carries a
-  /// pooled RouteState along a chain of mediator forwards instead of the
-  /// single-hop delegation, scored from the barrier-refreshed directory
-  /// and (with digest_weight > 0) the cross-shard satisfaction exchange.
-  /// hop_budget = 1 on the default full mesh with digest_weight = 0 is
-  /// behaviorally identical to the legacy delegation.
+  /// Borrow-chain routing between shards (sharded engines only, at most
+  /// federation::kMaxFederationShards shards; ignored at shards == 1). A
+  /// dry shard's query carries a pooled RouteState along a chain of
+  /// mediator forwards, scored from the barrier-refreshed directory. With
+  /// `enabled` false the chain uses the default full mesh and
+  /// hop_budget 1: one hop to the least-loaded donor.
   federation::FederationConfig federation;
 };
 
@@ -232,7 +231,7 @@ struct EngineStats {
   // Sharded serving (all zero when shards == 1).
   int64_t queries_delegated = 0;    ///< cross-shard borrows forwarded
   int64_t queries_borrowed = 0;     ///< queries mediated for a peer shard
-  /// Mid-chain federation relays (0 unless federation with hop_budget > 1).
+  /// Mid-chain borrow relays (0 unless federation.hop_budget > 1).
   int64_t queries_forwarded = 0;
   int64_t shard_barriers = 0;       ///< barrier rendezvous performed
   int64_t shard_early_barriers = 0; ///< barriers pulled by outbox fill

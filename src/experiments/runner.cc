@@ -66,6 +66,19 @@ void HarvestDecisionPhases(
   }
 }
 
+/// Whether every query submitted to `mediators` reached its consumer-side
+/// outcome (a borrowed query counts where it was submitted and where its
+/// outcome re-homed — both on its origin shard).
+bool AllFinalized(const std::vector<core::Mediator*>& mediators) {
+  int64_t submitted = 0;
+  int64_t finalized = 0;
+  for (const core::Mediator* mediator : mediators) {
+    submitted += mediator->stats().queries_submitted;
+    finalized += mediator->stats().queries_finalized;
+  }
+  return submitted == finalized;
+}
+
 /// Sums injector telemetry into the run summary (no-op when unfaulted).
 void AccumulateFaultStats(
     const std::vector<std::unique_ptr<rt::FaultInjector>>& injectors,
@@ -209,12 +222,16 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
   }
   directory.Refresh(registry);
   if (shard_count > 1) {
+    // The federation is the one cross-shard path: a dry pool starts a
+    // borrow chain (the default config borrows one hop over the full
+    // mesh). Every group member can start chains, with tickets from its
+    // gateway's pool; incoming traffic and re-homed outcomes land on the
+    // gateway (the list entry for each shard).
+    federation.Build(config.federation, shard_count, &directory);
     for (uint32_t s = 0; s < shard_count; ++s) {
       for (size_t m = 0; m < group; ++m) {
-        // Every group member can delegate cross-shard; incoming traffic
-        // lands on the gateway (the list entry for each shard).
         mediator_ptrs[s * group + m]->ConfigureSharding(&shards, s,
-                                                        &directory, gateways);
+                                                        &federation, gateways);
       }
     }
   }
@@ -228,16 +245,6 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
       for (core::Mediator* mediator : in_shard) {
         mediator->SetPeers(in_shard);
       }
-    }
-  }
-  if (config.federation.enabled && shard_count > 1) {
-    federation.Build(config.federation, shard_count, &directory);
-    // Gateways only: a chain's RouteState ticket must re-home to the pool
-    // it was acquired from, and re-homed outcomes always land on the
-    // origin shard's gateway. Non-gateway group members keep the legacy
-    // single-hop delegation (which is group-safe).
-    for (core::Mediator* gateway : gateways) {
-      gateway->ConfigureFederation(&federation);
     }
   }
   if (config.departure.providers_can_leave ||
@@ -370,17 +377,6 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
     shards.AddBarrierHook([&directory, &registry](double) {
       directory.RefreshIfChanged(registry);
     });
-    if (config.federation.enabled) {
-      // Satisfaction exchange: each gateway republishes its shard's
-      // per-(shard, class) digest row while every worker is parked; the
-      // next window's RouteScorer reads the refreshed rows. Shard order is
-      // fixed, so the exchange is deterministic.
-      shards.AddBarrierHook([&federation, &gateways](double) {
-        for (core::Mediator* gateway : gateways) {
-          gateway->PublishFederationDigest(&federation.digest());
-        }
-      });
-    }
   }
   if (collector.has_shared_observers()) {
     shards.AddBarrierHook(
@@ -401,8 +397,20 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
   // Drain in-flight queries (and cross-shard mailboxes) so satisfaction /
   // response accounting is complete. The horizon covers the full retry
   // budget when re-mediation is on.
-  const double drain_horizon = config.duration + QueryLifetimeBound(config);
+  const double lifetime = QueryLifetimeBound(config);
+  const double drain_horizon = config.duration + lifetime;
   shards.RunUntil(drain_horizon);
+  if (shard_count > 1) {
+    // A borrowed query whose attempt ends on its donor shard at the
+    // horizon itself re-homes its outcome one mailbox hop later: keep
+    // advancing barrier windows until every query finalized, capped at
+    // one more query lifetime.
+    const double settle_cap = drain_horizon + lifetime;
+    while (!AllFinalized(mediator_ptrs) && shards.now() < settle_cap) {
+      shards.RunUntil(
+          std::min(settle_cap, shards.now() + shards.current_barrier_tick()));
+    }
+  }
   collector.FlushSharedObservers();  // settlement-window stragglers
 
   RunResult result;

@@ -52,8 +52,8 @@ RunResult RunScenario(const ScenarioConfig& config);
 /// observers are replayed through the collector's deterministic
 /// cross-shard mux. mediator_count > 1 runs a mediator GROUP per shard
 /// (the first member is the shard's cross-shard gateway), and
-/// config.federation enables multi-hop borrow chains between shard
-/// gateways (see src/federation/README.md).
+/// config.federation shapes the borrow chains between shards (see
+/// src/federation/README.md).
 RunResult RunShardedScenario(const ScenarioConfig& config);
 
 /// Runs the same scenario once per method, holding everything else equal

@@ -63,15 +63,15 @@ struct ScenarioConfig {
   /// its own RNG stream and (stale) load view. With sim.shard_count > 1
   /// this becomes the PER-SHARD group size: every shard runs this many
   /// mediators on its worker thread, the first one acting as the shard's
-  /// gateway for cross-shard traffic (delegation targets, membership ops,
-  /// departure sweeps).
+  /// gateway for cross-shard traffic (forwarded queries, re-homed
+  /// outcomes, membership ops, departure sweeps).
   size_t mediator_count = 1;
 
-  /// Multi-hop borrow federation (sharded runs only; ignored at
-  /// shard_count <= 1). Off by default: a dry shard falls back to the
-  /// classic single-hop delegation. When enabled with hop_budget = 1 on
-  /// the default full mesh with digest_weight = 0, runs are bit-identical
-  /// to the classic delegation path.
+  /// Borrow-chain routing between shards (sharded runs only, at most
+  /// federation::kMaxFederationShards shards; ignored at shard_count <= 1).
+  /// A dry shard always borrows through the federation; with `enabled`
+  /// false it uses the default full mesh and hop_budget 1 (one hop to the
+  /// least-loaded donor), otherwise the configured topology and budget.
   federation::FederationConfig federation;
 
   /// Captive (disabled) vs autonomous (enabled) environment.

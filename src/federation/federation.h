@@ -2,18 +2,16 @@
 #define SBQA_FEDERATION_FEDERATION_H_
 
 /// \file
-/// The federation aggregate: config plus the three shared routing planes
-/// (topology PeerSet, barrier-published SatisfactionDigest, RouteScorer).
-/// One Federation instance is built per sharded run and shared read-only
-/// by every shard's mediator during barrier windows; the digest rows are
-/// republished by the barrier hook on the driver thread (see digest.h for
-/// the publish contract). hop_budget=1 on the default full mesh with
-/// digest_weight=0 reproduces the legacy one-hop delegation path
-/// decision-for-decision.
+/// The federation aggregate: config plus the shared routing planes
+/// (topology PeerSet, RouteScorer over the barrier-refreshed
+/// core::ShardDirectory). It is the only cross-shard path of the sharded
+/// engine: one Federation instance is built per sharded run (shards > 1)
+/// and shared read-only by every shard's mediator during barrier windows.
+/// The default config — full mesh, hop_budget 1 — borrows one hop from
+/// the least-loaded donor.
 
 #include <cstdint>
 
-#include "federation/digest.h"
 #include "federation/peer_set.h"
 #include "federation/route_scorer.h"
 #include "federation/route_state.h"
@@ -26,18 +24,14 @@ class ShardDirectory;
 namespace sbqa::federation {
 
 struct FederationConfig {
-  /// Off by default: single-hop TryDelegate stays the non-federated path.
+  /// Whether the fields below apply. When false the federation still
+  /// routes borrows, with the default full mesh and hop_budget 1.
   bool enabled = false;
   TopologyKind topology = TopologyKind::kFullMesh;
   /// Peer count per shard under kKRegular (clamped to [2, shards - 1]).
   uint32_t degree = 4;
   /// Max forwards per borrow chain (clamped to [1, kMaxHopBudget]).
-  /// 1 = behaviorally identical to legacy delegation.
   uint32_t hop_budget = 1;
-  /// Weight of the satisfaction digest in forward scoring. 0 keeps the
-  /// legacy pure-load metric (exact integer compare); > 0 blends in the
-  /// per-(shard, class) satisfaction exchange.
-  double digest_weight = 0.0;
 };
 
 class Federation {
@@ -48,12 +42,11 @@ class Federation {
   /// the federation and be barrier-refreshed as usual.
   void Build(const FederationConfig& config, uint32_t shard_count,
              const core::ShardDirectory* directory) {
-    config_ = config;
+    config_ = config.enabled ? config : FederationConfig{};
     if (config_.hop_budget < 1) config_.hop_budget = 1;
     if (config_.hop_budget > kMaxHopBudget) config_.hop_budget = kMaxHopBudget;
-    peers_.Build(config.topology, shard_count, config.degree);
-    digest_.Reset(shard_count);
-    scorer_.Configure(&peers_, directory, &digest_, config.digest_weight);
+    peers_.Build(config_.topology, shard_count, config_.degree);
+    scorer_.Configure(&peers_, directory);
   }
 
   const FederationConfig& config() const { return config_; }
@@ -61,8 +54,6 @@ class Federation {
     return static_cast<uint16_t>(config_.hop_budget);
   }
   const PeerSet& peers() const { return peers_; }
-  SatisfactionDigest& digest() { return digest_; }
-  const SatisfactionDigest& digest() const { return digest_; }
 
   /// Next hop for a chain at `from` (see RouteScorer::PickNext).
   uint32_t PickNextHop(uint32_t from, model::QueryClassId query_class,
@@ -73,7 +64,6 @@ class Federation {
  private:
   FederationConfig config_;
   PeerSet peers_;
-  SatisfactionDigest digest_;
   RouteScorer scorer_;
 };
 

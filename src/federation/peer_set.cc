@@ -46,8 +46,8 @@ void PeerSet::Build(TopologyKind kind, uint32_t shard_count, uint32_t degree) {
   // fixed step set. Mesh = every step; ring = {1, n-1}; k-regular = the
   // `degree` offsets nearest the shard (ceil(d/2) forward, floor(d/2)
   // back). Peer lists are emitted in forward wrap order (steps 1..n-1
-  // ascending) — on the mesh that is exactly the legacy FindShardWith scan
-  // order, which the tie-break (first qualifying shard wins) inherits.
+  // ascending), which the tie-break (first qualifying shard wins)
+  // inherits.
   const uint32_t n = shard_count;
   uint32_t fwd_span = n - 1;  // steps 1..fwd_span are peers
   uint32_t back_span = 0;     // steps n-back_span..n-1 are peers

@@ -11,16 +11,16 @@
 /// Three topologies:
 ///  - kFullMesh: every shard peers with every other shard. Forwarding
 ///    degenerates to "pick the best shard directly" — with hop_budget=1
-///    this reproduces the legacy one-hop delegation exactly.
+///    this is a one-hop borrow from the least-loaded donor (the default).
 ///  - kRing: shard s peers with s-1 and s+1 (mod n). The stress topology:
 ///    reaching a distant donor requires real multi-hop chains.
 ///  - kKRegular: circulant graph — shard s peers with s +/- 1, s +/- 2,
 ///    ... up to `degree` peers (offsets 1, 2, ...), the middle ground.
 ///
 /// Peer lists are materialized in *forward wrap order from the owning
-/// shard* (s+1, s+2, ... mod n) — on the mesh this is exactly the legacy
-/// ShardDirectory::FindShardWith scan order, so the first-qualifying-shard
-/// tie-break matches it and the golden equality test holds.
+/// shard* (s+1, s+2, ... mod n), so the first-qualifying-shard tie-break
+/// spreads different origins' borrows over different equally-loaded
+/// donors.
 ///
 /// For routing through dry intermediates the set also precomputes a
 /// next-hop table (`NextHopToward`): BFS over the peer graph from every

@@ -9,50 +9,24 @@ uint32_t RouteScorer::BestCandidateShard(model::QueryClassId query_class,
                                          uint64_t visited,
                                          const uint32_t* scan,
                                          size_t n) const {
+  // Min consumers/candidates by exact integer cross-multiplication; the
+  // strict < keeps the first shard in scan order on ties.
   uint32_t best = kNoShard;
-  if (digest_weight_ == 0.0) {
-    // Legacy load metric: min consumers/candidates by exact integer
-    // cross-multiplication, strict < keeps the first shard in scan order
-    // on ties — the same arithmetic as ShardDirectory::FindShardWith.
-    uint64_t best_consumers = 0;
-    uint64_t best_candidates = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t shard = scan[i];
-      if ((visited >> shard) & uint64_t{1}) continue;
-      const uint64_t candidates =
-          static_cast<uint64_t>(directory_->CountFor(shard, query_class));
-      if (candidates == 0) continue;
-      const uint64_t consumers =
-          static_cast<uint64_t>(directory_->ConsumersOn(shard));
-      if (best == kNoShard ||
-          consumers * best_candidates < best_consumers * candidates) {
-        best = shard;
-        best_consumers = consumers;
-        best_candidates = candidates;
-      }
-    }
-    return best;
-  }
-
-  // Digest-fed regime: capacity x satisfaction, maximize with a strict >
-  // so the first shard in scan order keeps ties.
-  double best_score = 0.0;
+  uint64_t best_consumers = 0;
+  uint64_t best_candidates = 0;
   for (size_t i = 0; i < n; ++i) {
     const uint32_t shard = scan[i];
     if ((visited >> shard) & uint64_t{1}) continue;
-    const double candidates =
-        static_cast<double>(directory_->CountFor(shard, query_class));
-    if (candidates == 0.0) continue;
-    const double consumers =
-        static_cast<double>(directory_->ConsumersOn(shard));
-    const double satisfaction =
-        digest_->ClassSatisfaction(shard, query_class);
-    const double score =
-        (candidates / (1.0 + consumers)) *
-        (1.0 + digest_weight_ * (satisfaction - SatisfactionDigest::kNeutral));
-    if (best == kNoShard || score > best_score) {
+    const uint64_t candidates =
+        static_cast<uint64_t>(directory_->CountFor(shard, query_class));
+    if (candidates == 0) continue;
+    const uint64_t consumers =
+        static_cast<uint64_t>(directory_->ConsumersOn(shard));
+    if (best == kNoShard ||
+        consumers * best_candidates < best_consumers * candidates) {
       best = shard;
-      best_score = score;
+      best_consumers = consumers;
+      best_candidates = candidates;
     }
   }
   return best;

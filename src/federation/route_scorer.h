@@ -2,26 +2,16 @@
 #define SBQA_FEDERATION_ROUTE_SCORER_H_
 
 /// \file
-/// RouteScorer: picks the next hop for a borrow chain. Inputs are the
-/// barrier-published snapshots only — ShardDirectory (candidate counts +
-/// consumer load) and SatisfactionDigest (per-(shard, class) satisfaction
-/// means) — so every shard scores identically within a window and routing
-/// is bit-reproducible.
+/// RouteScorer: picks the next hop for a borrow chain. The only input is
+/// the barrier-published core::ShardDirectory snapshot (candidate counts
+/// + consumer load), so every shard scores identically within a window
+/// and routing is bit-reproducible.
 ///
-/// Two scoring regimes, switched by `digest_weight`:
-///  - weight == 0 (default): the legacy load metric, bit-for-bit. Among
-///    the candidate shards, minimize active consumers per candidate,
-///    compared by exact integer cross-multiplication with a strict < so
-///    the first shard in scan order keeps ties — the same arithmetic as
-///    `ShardDirectory::FindShardWith`. On a full mesh this makes
-///    federation routing reproduce legacy delegation target-for-target
-///    (the golden equality requirement).
-///  - weight > 0: ADQUEX-style re-optimization. Score = capacity term
-///    `candidates / (1 + consumers)` x satisfaction term
-///    `1 + weight * (digest satisfaction - 0.5)`, maximize with a strict
-///    > (first in scan order keeps ties). Shards whose recent
-///    satisfaction for the class runs high attract more borrows; shards
-///    burning queries repel them.
+/// Score: among the candidate shards, minimize active consumers per
+/// candidate, compared by exact integer cross-multiplication with a
+/// strict < so the first shard in scan order keeps ties. On the full mesh
+/// that picks the least-loaded donor, ties going to the first shard in
+/// wrap order after the origin.
 ///
 /// Selection is two-tier:
 ///  1. Direct peers of `from` (peer-list order) that are unvisited and
@@ -36,7 +26,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "federation/digest.h"
 #include "federation/peer_set.h"
 #include "model/types.h"
 
@@ -50,12 +39,9 @@ class RouteScorer {
  public:
   static constexpr uint32_t kNoShard = PeerSet::kNoShard;
 
-  void Configure(const PeerSet* peers, const core::ShardDirectory* directory,
-                 const SatisfactionDigest* digest, double digest_weight) {
+  void Configure(const PeerSet* peers, const core::ShardDirectory* directory) {
     peers_ = peers;
     directory_ = directory;
-    digest_ = digest;
-    digest_weight_ = digest_weight;
   }
 
   /// Next hop for a chain at `from` looking for `query_class` capacity,
@@ -65,15 +51,13 @@ class RouteScorer {
 
  private:
   /// Best unvisited shard with candidates among `scan[0..n)` (already in
-  /// deterministic preference order); see the two regimes above.
+  /// deterministic preference order); see the score above.
   uint32_t BestCandidateShard(model::QueryClassId query_class,
                               uint64_t visited, const uint32_t* scan,
                               size_t n) const;
 
   const PeerSet* peers_ = nullptr;
   const core::ShardDirectory* directory_ = nullptr;
-  const SatisfactionDigest* digest_ = nullptr;
-  double digest_weight_ = 0.0;
 };
 
 }  // namespace sbqa::federation

@@ -3,9 +3,8 @@
 
 /// \file
 /// RouteState: the pooled per-query routing ticket that rides a multi-hop
-/// borrow chain. When a shard's candidate pool is dry for a query's class
-/// and the federation is enabled, the origin mediator acquires one of
-/// these from its `util::StableSlotPool<RouteState>` (provisioned at
+/// borrow chain. When a shard's candidate pool is dry for a query's class,
+/// the origin mediator acquires one of these from its `util::StableSlotPool<RouteState>` (provisioned at
 /// Start — the forward path performs zero heap allocations) and forwards
 /// the query with a raw RouteState* in the cross-shard closure. Each hop
 /// marks itself in the visited bitmap, appends itself to the recorded
@@ -47,12 +46,19 @@ struct RouteState {
   /// Forwards taken so far. 0 while the query is still at its origin;
   /// the terminal outcome reports this as QueryOutcome::hops.
   uint16_t hops = 0;
-  /// Maximum forwards allowed (>= 1; 1 reproduces single-hop delegation).
+  /// Maximum forwards allowed (>= 1; 1 is a one-hop borrow).
   uint16_t hop_budget = 1;
   /// Shards this chain has visited (origin included) — each forward
   /// targets a peer whose bit is clear, so chains are loop-free by
   /// construction.
   uint64_t visited = 0;
+  /// Equation 2's delta_s(c) input for the query's consumer (satisfaction,
+  /// and whether any of their queries completed yet), snapshotted at the
+  /// origin when the chain starts: the shard that mediates the query
+  /// scores with it instead of reading consumer state that the origin
+  /// shard keeps writing.
+  double consumer_satisfaction = 0;
+  bool consumer_has_samples = false;
 
   /// path[0] is the origin; path[i] the shard after hop i.
   uint32_t path[kMaxHopBudget + 1] = {};

@@ -38,12 +38,12 @@ struct RunSummary {
   int64_t queries_fully_served = 0;
   int64_t queries_unallocated = 0;
   int64_t queries_timed_out = 0;
-  /// Cross-shard borrow protocol (0 unless sharded): queries forwarded to
-  /// a peer shard because the origin's candidate pool was dry / mediated
-  /// on behalf of a peer.
+  /// Cross-shard borrow chains (0 unless sharded): chains started because
+  /// the origin's candidate pool was dry / chains ended at a terminal
+  /// shard (mediated on behalf of the origin, or unallocated there).
   int64_t queries_delegated = 0;
   int64_t queries_borrowed = 0;
-  /// Federation borrow chains (0 unless federation with hop_budget > 1):
+  /// Multi-hop borrow chains (0 unless federation.hop_budget > 1):
   /// mid-chain relays at dry intermediate shards, queries whose terminal
   /// shard was more than one hop from home, and the mean chain length over
   /// every finalized query (0 = all served locally).

@@ -5,7 +5,7 @@
 /// ShardFabric: the cross-shard transport seam. Everything the mediation
 /// pipeline needs from a sharded execution substrate is one primitive —
 /// post a task into another shard's executor with single-writer ordering —
-/// so the identical borrow/delegation protocol runs over the simulation's
+/// so the identical borrow-chain protocol runs over the simulation's
 /// barrier mailboxes (sim::ShardSet, bit-reproducible virtual time) and
 /// over live thread-per-shard serving (rt::WallClockShardSet, wall-clock
 /// barrier windows). core::Mediator holds a ShardFabric*, never a concrete

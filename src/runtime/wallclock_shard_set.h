@@ -58,7 +58,7 @@ struct WallClockShardOptions {
   double barrier_tick = 0.002;
   /// Fill trigger: a shard whose buffered outgoing cross-shard messages
   /// reach this count mid-window pulls the barrier early instead of
-  /// letting delegated queries ripen a whole tick. 0 disables.
+  /// letting borrowed queries ripen a whole tick. 0 disables.
   size_t outbox_fill_threshold = 64;
   /// Per-shard runtime tuning. seed and manual_clock are overridden (the
   /// shard set owns both); max_queue bounds each shard's external submit

@@ -235,8 +235,8 @@ void ShardSet::RunUntil(Time t) {
   // accounting). The membership phase keeps running here (without the
   // regular hooks) so ops queued by horizon events are applied and their
   // follow-up messages drained. Terminates because cross-shard chains are
-  // finite (delegation is one hop; network hops have positive latency;
-  // membership application only posts finite outcome chains).
+  // finite (borrow chains are hop-budgeted; network hops have positive
+  // latency; membership application only posts finite outcome chains).
   while (settle) {
     RunWindow(barrier_now_);
     settle = BarrierPhase(/*run_hooks=*/false);

@@ -2,8 +2,8 @@
 // contiguous provider blocks, per-shard consumer counters), the
 // epoch-based membership mutation log (fixed apply order, deterministic
 // join owner-shard hash, in-place partition growth) and the
-// barrier-refreshed cross-shard candidate directory with its load-aware
-// donor selection.
+// barrier-refreshed cross-shard candidate directory, with the load-aware
+// donor selection the federation's one-hop mesh route makes from it.
 
 #include <algorithm>
 #include <string>
@@ -13,6 +13,8 @@
 
 #include "core/registry.h"
 #include "core/shard_directory.h"
+#include "federation/peer_set.h"
+#include "federation/route_scorer.h"
 #include "util/rng.h"
 
 namespace sbqa::core {
@@ -28,6 +30,20 @@ void Populate(Registry* registry, size_t providers, size_t consumers) {
     registry->AddConsumer(ConsumerParams{});
   }
 }
+
+/// The donor a dry shard `from` borrows from by default: the federation's
+/// route scorer over the full mesh, first hop of a fresh chain.
+uint32_t MeshDonor(const ShardDirectory& directory,
+                   model::QueryClassId query_class, uint32_t from) {
+  federation::PeerSet peers;
+  peers.Build(federation::TopologyKind::kFullMesh, directory.shard_count(),
+              /*degree=*/4);
+  federation::RouteScorer scorer;
+  scorer.Configure(&peers, &directory);
+  return scorer.PickNext(from, query_class, uint64_t{1} << from);
+}
+
+constexpr uint32_t kNoDonor = federation::RouteScorer::kNoShard;
 
 model::Query QueryOfClass(model::QueryClassId c) {
   model::Query query;
@@ -151,7 +167,7 @@ TEST(ShardDirectoryTest, CountsFollowPartitions) {
   EXPECT_EQ(directory.CountFor(2, 7), 3u);  // unknown class: generalists
 }
 
-TEST(ShardDirectoryTest, FindShardWithPicksLeastLoadedDonor) {
+TEST(ShardDirectoryTest, MeshRoutePicksLeastLoadedDonor) {
   Registry registry;
   Populate(&registry, 8, 2);
   registry.SetShardCount(4);
@@ -166,23 +182,23 @@ TEST(ShardDirectoryTest, FindShardWithPicksLeastLoadedDonor) {
 
   // Class-5 candidates live on shards 0 (load 1 consumer / 2 candidates)
   // and 3 (load 0 / 2): the least-loaded donor is shard 3 from anywhere.
-  EXPECT_EQ(directory.FindShardWith(5, 1), 3u);
+  EXPECT_EQ(MeshDonor(directory, 5, 1), 3u);
   // From shard 3 itself the only remaining donor is shard 0.
-  EXPECT_EQ(directory.FindShardWith(5, 3), 0u);
+  EXPECT_EQ(MeshDonor(directory, 5, 3), 0u);
   // Class 0 is everywhere with 2 candidates per shard; loads are
   // {1, 1, 0, 0} consumers. From shard 0 the least-loaded donors are
   // shards 2 and 3 (tied at 0): the tie-break is the first in wrap order,
   // shard 2.
-  EXPECT_EQ(directory.FindShardWith(0, 0), 2u);
+  EXPECT_EQ(MeshDonor(directory, 0, 0), 2u);
   // Same tie from shard 2's perspective: wrap order 3 -> 0 -> 1 makes
   // shard 3 the deterministic winner.
-  EXPECT_EQ(directory.FindShardWith(0, 2), 3u);
+  EXPECT_EQ(MeshDonor(directory, 0, 2), 3u);
 
   // Retire c1: shard 1 drops to load 0 and the three-way tie goes to the
   // first shard in wrap order from the origin — shard 1.
   registry.consumer(1).set_active(false);
   directory.Refresh(registry);
-  EXPECT_EQ(directory.FindShardWith(0, 0), 1u);
+  EXPECT_EQ(MeshDonor(directory, 0, 0), 1u);
 }
 
 TEST(ShardDirectoryTest, LoadAwareSelectionPrefersFewerConsumersPerCandidate) {
@@ -198,15 +214,15 @@ TEST(ShardDirectoryTest, LoadAwareSelectionPrefersFewerConsumersPerCandidate) {
 
   // From shard 2, both peers tie at 2 consumers / 3 candidates: wrap
   // order picks shard 0.
-  EXPECT_EQ(directory.FindShardWith(0, 2), 0u);
+  EXPECT_EQ(MeshDonor(directory, 0, 2), 0u);
   // From shard 0, shard 1 (2/3) beats shard 2 (2/1).
-  EXPECT_EQ(directory.FindShardWith(0, 0), 1u);
+  EXPECT_EQ(MeshDonor(directory, 0, 0), 1u);
   // Cross-multiplied comparison, not integer division: shard 1 with 2/3
   // load must also beat a later shard at 1/1 (1*3 > 2*1).
   registry.consumer(2).set_active(false);  // shard 2 -> 1 consumer
   directory.Refresh(registry);
   EXPECT_EQ(directory.ConsumersOn(2), 1u);
-  EXPECT_EQ(directory.FindShardWith(0, 0), 1u);
+  EXPECT_EQ(MeshDonor(directory, 0, 0), 1u);
 }
 
 /// Records the order AdvanceEpoch applies ops in.
@@ -383,12 +399,12 @@ TEST(ShardDirectoryTest, RefreshTracksChurn) {
   EXPECT_EQ(directory.CountFor(1, 0), 2u);
   directory.Refresh(registry);
   EXPECT_EQ(directory.CountFor(1, 0), 0u);
-  EXPECT_EQ(directory.FindShardWith(0, 0), ShardDirectory::kNoShard);
+  EXPECT_EQ(MeshDonor(directory, 0, 0), kNoDonor);
   // Nobody anywhere: no borrow target from shard 1 either.
   registry.provider(0).set_alive(false);
   registry.provider(1).set_alive(false);
   directory.Refresh(registry);
-  EXPECT_EQ(directory.FindShardWith(0, 1), ShardDirectory::kNoShard);
+  EXPECT_EQ(MeshDonor(directory, 0, 1), kNoDonor);
 }
 
 }  // namespace

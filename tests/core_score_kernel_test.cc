@@ -92,7 +92,8 @@ struct KernelHarness {
   }
 
   AllocationDecision Allocate(SbqaMethod& method, int n_results = 1,
-                              double cost = 1.0) {
+                              double cost = 1.0,
+                              const ConsumerStanding* standing = nullptr) {
     query.id = ++next_id;
     query.consumer = 0;
     query.n_results = n_results;
@@ -102,6 +103,7 @@ struct KernelHarness {
     ctx.candidates = &candidate_set;
     ctx.mediator = mediator.get();
     ctx.now = simulation->now();
+    ctx.consumer_standing = standing;
     AllocationDecision decision;
     method.Allocate(ctx, &decision);
     return decision;
@@ -405,6 +407,46 @@ TEST(ScoreKernelTest, PhaseTimingAccounting) {
   EXPECT_EQ(copy.decisions, 10);
   timed.kernel().ResetPhases();
   EXPECT_EQ(timed.kernel().phases().decisions, 0);
+}
+
+TEST(ScoreKernelTest, ConsumerStandingReplacesTheLiveConsumer) {
+  // A borrowed query scores Equation 2 with the consumer standing its
+  // home shard snapshotted, never with the live consumer: a cold consumer
+  // plus a standing of satisfaction s must decide exactly like a consumer
+  // whose live Definition-1 satisfaction is s.
+  for (const ScoreKernelKind kind :
+       {ScoreKernelKind::kExact, ScoreKernelKind::kBatched}) {
+    constexpr double kSatisfaction = 0.95;
+    KernelHarness cold(200, 31, kind);
+    KernelHarness snapshot(200, 31, kind);
+    KernelHarness live(200, 31, kind);
+    for (int i = 0; i < 5; ++i) {
+      live.registry.consumer(0).satisfaction_tracker().RecordQuery(
+          kSatisfaction, kSatisfaction, kSatisfaction);
+    }
+    ASSERT_DOUBLE_EQ(live.registry.consumer(0).satisfaction(), kSatisfaction);
+    const ConsumerStanding standing{kSatisfaction, /*has_samples=*/true};
+    SbqaMethod cold_method{SbqaParams{}};
+    SbqaMethod snapshot_method{SbqaParams{}};
+    SbqaMethod live_method{SbqaParams{}};
+    bool cold_differs = false;
+    for (int q = 0; q < 40; ++q) {
+      const AllocationDecision a = cold.Allocate(cold_method, 3);
+      const AllocationDecision b =
+          snapshot.Allocate(snapshot_method, 3, 1.0, &standing);
+      const AllocationDecision c = live.Allocate(live_method, 3);
+      EXPECT_EQ(b.selected, c.selected) << "query " << q;
+      EXPECT_EQ(b.provider_intentions, c.provider_intentions);
+      EXPECT_EQ(b.consumer_intentions, c.consumer_intentions);
+      cold_differs = cold_differs || a.selected != c.selected;
+    }
+    // The standing matters: scoring the cold consumer live (cold-start
+    // omega) picks differently at least once.
+    EXPECT_TRUE(cold_differs);
+    EXPECT_EQ(snapshot.registry.consumer(0).satisfaction_tracker()
+                  .sample_count(),
+              0u);
+  }
 }
 
 }  // namespace

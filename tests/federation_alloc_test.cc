@@ -98,17 +98,12 @@ struct FederationHarness {
     federation.Build(fed_config, kShards, &directory);
 
     for (uint32_t s = 0; s < kShards; ++s) {
-      mediators[s]->ConfigureSharding(shards.get(), s, &directory,
+      mediators[s]->ConfigureSharding(shards.get(), s, &federation,
                                       mediator_ptrs);
-      mediators[s]->ConfigureFederation(&federation);
       mediators[s]->ProvisionInflight(256);
     }
-    shards->AddBarrierHook([this](double) {
-      directory.RefreshIfChanged(registry);
-      for (core::Mediator* m : mediator_ptrs) {
-        m->PublishFederationDigest(&federation.digest());
-      }
-    });
+    shards->AddBarrierHook(
+        [this](double) { directory.RefreshIfChanged(registry); });
   }
 };
 

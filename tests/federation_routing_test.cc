@@ -1,9 +1,8 @@
 // Unit tests for the federation routing planes: PeerSet topologies and
-// the BFS next-hop table, the RouteState loop-prevention ticket, the
-// SatisfactionDigest exchange rows, and the RouteScorer's two scoring
-// regimes — including the golden requirement that weight == 0 scoring
-// over a full mesh reproduces ShardDirectory::FindShardWith
-// target-for-target.
+// the BFS next-hop table, the RouteState loop-prevention ticket, and the
+// RouteScorer — including the requirement that scoring over a full mesh
+// picks the least-loaded donor in wrap order from the origin, checked
+// target-for-target against a brute-force oracle of that rule.
 
 #include <vector>
 
@@ -11,7 +10,6 @@
 
 #include "core/registry.h"
 #include "core/shard_directory.h"
-#include "federation/digest.h"
 #include "federation/peer_set.h"
 #include "federation/route_scorer.h"
 #include "federation/route_state.h"
@@ -105,31 +103,6 @@ TEST(RouteStateTest, VisitedBitmapMakesChainsLoopFree) {
   EXPECT_EQ(route.hops, 0);
 }
 
-TEST(SatisfactionDigestTest, NeutralBeforePublishAndFallsBackToShardMean) {
-  SatisfactionDigest digest;
-  digest.Reset(3);
-  EXPECT_EQ(digest.shard_count(), 3u);
-  EXPECT_EQ(digest.ShardSatisfaction(1), SatisfactionDigest::kNeutral);
-  EXPECT_EQ(digest.ClassSatisfaction(1, 5), SatisfactionDigest::kNeutral);
-
-  digest.BeginShard(1, 0.8);
-  digest.RecordClass(1, 2, 0.25);
-  digest.RecordClass(1, 7, 0.9);
-  EXPECT_DOUBLE_EQ(digest.ShardSatisfaction(1), 0.8);
-  EXPECT_DOUBLE_EQ(digest.ClassSatisfaction(1, 2), 0.25);
-  EXPECT_DOUBLE_EQ(digest.ClassSatisfaction(1, 7), 0.9);
-  // A class the shard never served scores as the shard mean.
-  EXPECT_DOUBLE_EQ(digest.ClassSatisfaction(1, 3), 0.8);
-  // Other shards stay neutral.
-  EXPECT_EQ(digest.ClassSatisfaction(0, 2), SatisfactionDigest::kNeutral);
-
-  // Republishing a window replaces the row rather than appending to it.
-  digest.BeginShard(1, 0.4);
-  digest.RecordClass(1, 2, 0.5);
-  EXPECT_DOUBLE_EQ(digest.ClassSatisfaction(1, 2), 0.5);
-  EXPECT_DOUBLE_EQ(digest.ClassSatisfaction(1, 7), 0.4);  // fallback again
-}
-
 /// Registry fixture shared by the scorer tests: `providers` generalists
 /// and `consumers` round-robined over `shards` partitions.
 void PopulateRegistry(core::Registry* registry, size_t providers,
@@ -145,10 +118,34 @@ void PopulateRegistry(core::Registry* registry, size_t providers,
   registry->SetShardCount(shards);
 }
 
-TEST(RouteScorerTest, WeightZeroOnMeshMatchesDirectoryDonorSelection) {
-  // The golden equality at the unit level: for every (origin, class) the
-  // scorer with digest_weight 0 over a full mesh must pick exactly the
-  // shard FindShardWith picks — same load arithmetic, same scan order,
+/// Brute-force donor oracle: among shards other than `from` that report
+/// candidates for `query_class`, the one minimizing active consumers per
+/// candidate (exact cross-multiplication); ties go to the first shard in
+/// wrap-around order after `from`. kNoShard when nobody has candidates.
+uint32_t LeastLoadedDonor(const core::ShardDirectory& directory,
+                          model::QueryClassId query_class, uint32_t from) {
+  const uint32_t n = directory.shard_count();
+  uint32_t best = RouteScorer::kNoShard;
+  uint64_t best_consumers = 0;
+  uint64_t best_candidates = 0;
+  for (uint32_t step = 1; step < n; ++step) {
+    const uint32_t shard = (from + step) % n;
+    const uint64_t candidates = directory.CountFor(shard, query_class);
+    if (candidates == 0) continue;
+    const uint64_t consumers = directory.ConsumersOn(shard);
+    if (best == RouteScorer::kNoShard ||
+        consumers * best_candidates < best_consumers * candidates) {
+      best = shard;
+      best_consumers = consumers;
+      best_candidates = candidates;
+    }
+  }
+  return best;
+}
+
+TEST(RouteScorerTest, MeshPicksTheLeastLoadedDonor) {
+  // For every (origin, class) the scorer over a full mesh must pick
+  // exactly the oracle's shard — same load arithmetic, same scan order,
   // same tie-break.
   core::Registry registry;
   PopulateRegistry(&registry, 12, 5, 4);
@@ -163,16 +160,14 @@ TEST(RouteScorerTest, WeightZeroOnMeshMatchesDirectoryDonorSelection) {
 
   PeerSet peers;
   peers.Build(TopologyKind::kFullMesh, 4, /*degree=*/4);
-  SatisfactionDigest digest;
-  digest.Reset(4);
   RouteScorer scorer;
-  scorer.Configure(&peers, &directory, &digest, /*digest_weight=*/0.0);
+  scorer.Configure(&peers, &directory);
 
   for (uint32_t from = 0; from < 4; ++from) {
     for (model::QueryClassId cls = 0; cls < 4; ++cls) {
       const uint64_t visited = uint64_t{1} << from;
       EXPECT_EQ(scorer.PickNext(from, cls, visited),
-                directory.FindShardWith(cls, from))
+                LeastLoadedDonor(directory, cls, from))
           << "from shard " << from << ", class " << cls;
     }
   }
@@ -185,10 +180,8 @@ TEST(RouteScorerTest, VisitedShardsAreOffLimits) {
   directory.Refresh(registry);
   PeerSet peers;
   peers.Build(TopologyKind::kFullMesh, 3, /*degree=*/2);
-  SatisfactionDigest digest;
-  digest.Reset(3);
   RouteScorer scorer;
-  scorer.Configure(&peers, &directory, &digest, 0.0);
+  scorer.Configure(&peers, &directory);
 
   const uint32_t first = scorer.PickNext(0, 0, uint64_t{1} << 0);
   ASSERT_NE(first, RouteScorer::kNoShard);
@@ -200,32 +193,6 @@ TEST(RouteScorerTest, VisitedShardsAreOffLimits) {
   // Everything visited: the chain is stuck.
   EXPECT_EQ(scorer.PickNext(0, 0, visited | (uint64_t{1} << second)),
             RouteScorer::kNoShard);
-}
-
-TEST(RouteScorerTest, DigestWeightSteersTiesTowardSatisfiedShards) {
-  // Shards 1 and 2 are symmetric in capacity and load; with weight 0 the
-  // scan-order tie-break picks shard 1, with weight > 0 the higher
-  // published satisfaction flips the pick to shard 2.
-  core::Registry registry;
-  PopulateRegistry(&registry, 9, 0, 3);
-  core::ShardDirectory directory;
-  directory.Refresh(registry);
-  PeerSet peers;
-  peers.Build(TopologyKind::kFullMesh, 3, /*degree=*/2);
-  SatisfactionDigest digest;
-  digest.Reset(3);
-  digest.BeginShard(1, 0.2);
-  digest.RecordClass(1, 0, 0.2);
-  digest.BeginShard(2, 0.9);
-  digest.RecordClass(2, 0, 0.9);
-
-  RouteScorer neutral;
-  neutral.Configure(&peers, &directory, &digest, 0.0);
-  EXPECT_EQ(neutral.PickNext(0, 0, uint64_t{1} << 0), 1u);
-
-  RouteScorer weighted;
-  weighted.Configure(&peers, &directory, &digest, 1.0);
-  EXPECT_EQ(weighted.PickNext(0, 0, uint64_t{1} << 0), 2u);
 }
 
 TEST(RouteScorerTest, RingRoutesThroughDryIntermediateTowardRemoteDonor) {
@@ -244,10 +211,8 @@ TEST(RouteScorerTest, RingRoutesThroughDryIntermediateTowardRemoteDonor) {
   directory.Refresh(registry);
   PeerSet peers;
   peers.Build(TopologyKind::kRing, 4, /*degree=*/2);
-  SatisfactionDigest digest;
-  digest.Reset(4);
   RouteScorer scorer;
-  scorer.Configure(&peers, &directory, &digest, 0.0);
+  scorer.Configure(&peers, &directory);
 
   EXPECT_EQ(scorer.PickNext(0, 5, uint64_t{1} << 0), 1u);
   // The chain lands on shard 1 (dry) and relays: shard 2 is adjacent now.

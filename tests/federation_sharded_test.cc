@@ -1,10 +1,9 @@
 // Scenario-level tests of the federation subsystem — the acceptance
 // gates of multi-hop borrow chains:
 //
-//   1. hop_budget = 1 on the full mesh with digest_weight = 0 is
-//      behaviorally identical to the legacy one-hop delegation: same
-//      allocation traces, bit-identical summaries, same borrow counters
-//      (the golden-seed equality requirement);
+//   1. the default config (federation.enabled false) borrows exactly
+//      like an explicit full mesh with hop_budget = 1: same allocation
+//      traces, bit-identical summaries, same borrow counters;
 //   2. multi-hop routing over a ring reproduces bit-for-bit per (seed,
 //      shard_count), threaded or serial;
 //   3. borrow-chain stats invariants: every chain that starts consumes
@@ -106,13 +105,11 @@ ScenarioConfig StarvedConfig(uint64_t seed, uint32_t shards, bool threads) {
 
 ScenarioConfig WithFederation(ScenarioConfig config,
                               federation::TopologyKind topology,
-                              uint32_t hop_budget,
-                              double digest_weight = 0.0) {
+                              uint32_t hop_budget) {
   config.federation.enabled = true;
   config.federation.topology = topology;
   config.federation.hop_budget = hop_budget;
   config.federation.degree = 4;
-  config.federation.digest_weight = digest_weight;
   return config;
 }
 
@@ -135,15 +132,15 @@ void ExpectChainStatsConsistent(const metrics::RunSummary& s) {
   EXPECT_LE(s.queries_multi_hop, s.queries_delegated);
 }
 
-TEST(FederationShardedTest, HopBudgetOneMeshMatchesLegacyDelegation) {
-  // Legacy delegation (federation off) on the starved golden seed...
+TEST(FederationShardedTest, DefaultConfigMatchesExplicitMeshBudgetOne) {
+  // The default config (federation.enabled false) on the starved golden
+  // seed...
   ShardTraces legacy_traces;
   const RunResult legacy = RunShardedScenario(
       legacy_traces.Attach(StarvedConfig(/*seed=*/21, /*shards=*/4, true)));
   ASSERT_GT(legacy.summary.queries_delegated, 0);
 
-  // ...and the same scenario through the federation with the degenerate
-  // config (full mesh, one hop, pure load scoring).
+  // ...and the same scenario with the full mesh and one hop spelled out.
   ShardTraces fed_traces;
   const RunResult fed = RunShardedScenario(fed_traces.Attach(
       WithFederation(StarvedConfig(/*seed=*/21, /*shards=*/4, true),
@@ -197,21 +194,25 @@ TEST(FederationShardedTest, MultiHopRingReproducesThreadedAndSerial) {
   ExpectChainStatsConsistent(a.summary);
 }
 
-TEST(FederationShardedTest, DigestWeightedRoutingStaysDeterministic) {
-  auto weighted_config = [] {
-    return WithFederation(StarvedConfig(/*seed=*/13, /*shards=*/4, true),
-                          federation::TopologyKind::kRing,
-                          /*hop_budget=*/4, /*digest_weight=*/2.0);
-  };
-  ShardTraces first;
-  const RunResult a = RunShardedScenario(first.Attach(weighted_config()));
-  ShardTraces second;
-  const RunResult b = RunShardedScenario(second.Attach(weighted_config()));
-  EXPECT_EQ(first.hashes(), second.hashes());
-  EXPECT_EQ(std::bit_cast<uint64_t>(a.summary.consumer_satisfaction),
-            std::bit_cast<uint64_t>(b.summary.consumer_satisfaction));
-  EXPECT_GT(a.summary.queries_delegated, 0);
-  ExpectChainStatsConsistent(a.summary);
+TEST(FederationShardedTest, BorrowedOutcomesAtTheDrainHorizonReachHome) {
+  // Every provider dispatch is dropped, so every attempt runs to its
+  // query's deadline (attempts are clamped to it). A borrowed query issued
+  // within one mailbox hop of `duration` then times out on its donor at
+  // the drain horizon itself, and its outcome re-homes after it; the
+  // starved project's rate puts several borrowed queries into that hop.
+  // The runner must keep settling until they finalize at home.
+  ScenarioConfig config = StarvedConfig(/*seed=*/5, /*shards=*/4, true);
+  config.duration = 5.0;
+  config.population.projects[1].arrival_rate = 400.0;
+  config.query_deadline = 2.0;
+  config.mediator.query_timeout = 2.0;
+  config.fault_plan.drop_send_prob = 1.0;
+  const RunResult result = RunShardedScenario(config);
+
+  const metrics::RunSummary& s = result.summary;
+  EXPECT_GT(s.queries_delegated, 0);
+  EXPECT_EQ(s.queries_timed_out, s.queries_submitted);
+  ExpectChainStatsConsistent(s);
 }
 
 TEST(FederationShardedTest, ChainStatsSurviveChurnAndStaleDirectories) {
@@ -291,8 +292,8 @@ TEST(FederationShardedTest, MediatorGroupsPerShardCompleteAndReproduce) {
   RunShardedScenario(serial.Attach(serial_config));
   EXPECT_EQ(first.hashes(), serial.hashes());
 
-  // Groups without federation keep working too (legacy delegation
-  // through the gateway).
+  // Groups on the default config keep working too (one-hop mesh chains
+  // from every group member, tickets from the gateway's pool).
   ScenarioConfig plain = StarvedConfig(/*seed=*/17, /*shards=*/2, true);
   plain.mediator_count = 3;
   const RunResult c = RunShardedScenario(plain);

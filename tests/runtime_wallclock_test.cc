@@ -70,11 +70,9 @@ TEST(WallClockRuntimeTest, CancelIsExactAndStaleHandlesAreHarmless) {
 }
 
 TEST(WallClockRuntimeTest, FarTimersSurviveWheelRotations) {
-  // Deadlines beyond one wheel rotation stay parked in their bucket and
-  // fire only when their rotation arrives.
+  // Far deadlines (many times the nearer timers' spacing) stay parked
+  // and fire only when their time arrives.
   rt::WallClockOptions options = ManualOptions();
-  options.wheel_tick = 0.001;
-  options.wheel_slots = 8;  // rotation = 8 ms
   rt::WallClockRuntime runtime(options);
   std::vector<int> order;
   runtime.Schedule(0.050, [&order] { order.push_back(50); });  // 6+ rotations
@@ -138,10 +136,6 @@ EngineOptions ManualEngineOptions(uint64_t seed) {
   EngineOptions options;
   options.mode = EngineMode::kWallClock;
   options.wallclock.manual_clock = true;
-  // A small wheel (64 ms rotation) so the warm-up phase visits every
-  // bucket — the allocation gate measures steady state, not first-touch
-  // bucket growth.
-  options.wallclock.wheel_slots = 64;
   options.seed = seed;
   options.query_timeout = 5.0;  // sweeps pass often: the ring stays compact
   return options;
@@ -212,7 +206,6 @@ TEST(WallClockEngineTest, ThreadedEngineServesDriverThreadTraffic) {
   options.mode = EngineMode::kWallClock;
   options.seed = 3;
   options.query_timeout = 5.0;
-  options.wallclock.wheel_tick = 0.0005;
   Engine engine(std::move(options));
   model::ConsumerId consumer;
   BuildDemoPopulation(&engine, &consumer);

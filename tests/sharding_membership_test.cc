@@ -28,6 +28,7 @@
 #include "core/shard_directory.h"
 #include "experiments/demo_scenarios.h"
 #include "experiments/runner.h"
+#include "federation/federation.h"
 #include "model/reputation.h"
 #include "sim/shard_set.h"
 #include "util/counting_alloc.h"
@@ -246,6 +247,7 @@ struct MembershipHarness {
   std::vector<std::unique_ptr<core::Mediator>> mediators;
   std::vector<core::Mediator*> mediator_ptrs;
   core::ShardDirectory directory;
+  federation::Federation federation;
 
   /// Applier mirroring the experiment runner's RunnerMembership (the
   /// canonical version, which also wires reputation + churn for joins):
@@ -306,8 +308,9 @@ struct MembershipHarness {
       mediator_ptrs.push_back(mediators.back().get());
     }
     directory.Refresh(registry);
+    federation.Build(federation::FederationConfig{}, kShards, &directory);
     for (uint32_t s = 0; s < kShards; ++s) {
-      mediators[s]->ConfigureSharding(shards.get(), s, &directory,
+      mediators[s]->ConfigureSharding(shards.get(), s, &federation,
                                       mediator_ptrs);
     }
     applier.harness = this;
