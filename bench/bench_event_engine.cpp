@@ -13,16 +13,12 @@
 ///    amortized O(1), which is the whole point of carrying it — the gate
 ///    requires the ladder to match the heap at shallow depths and beat it
 ///    >= 3x at million-event depth, at zero allocations per event.
-/// 3. Batched dispatch: same-destination fan-in through the Network's
-///    per-(destination, tick) batches — scheduler events consumed per
-///    message as the fan-in rate grows (1 / 8 / 64 msgs per ms, the sweep
-///    behind the delivery_batch_tick default documented in src/sim/README).
-/// 4. End-to-end: the 800-volunteer demo scenario (the BENCH_scaling.json
+/// 3. End-to-end: the 800-volunteer demo scenario (the BENCH_scaling.json
 ///    `end_to_end` configuration) — wall time, ns per finalized query and
 ///    steady-state heap allocations per query (counting allocator; the
 ///    committed number must be zero).
 ///
-/// The JSON dump (BENCH_event_engine.json) records all four layers plus
+/// The JSON dump (BENCH_event_engine.json) records all three layers plus
 /// the committed BENCH_scaling.json baseline for the regression gate in CI.
 
 #include <atomic>
@@ -39,8 +35,6 @@
 #include "core/registry.h"
 #include "core/sbqa.h"
 #include "model/reputation.h"
-#include "sim/latency.h"
-#include "sim/network.h"
 #include "sim/scheduler.h"
 #include "sim/simulation.h"
 
@@ -252,13 +246,11 @@ struct E2eRow {
   double mean_rt = 0;
 };
 
-E2eRow RunEndToEnd(const char* label, size_t volunteers, double duration,
-                   double batch_tick) {
+E2eRow RunEndToEnd(const char* label, size_t volunteers, double duration) {
   experiments::ScenarioConfig config = experiments::WithCaptiveEnvironment(
       experiments::BaseDemoConfig(/*seed=*/42, volunteers, duration));
   config.method =
       experiments::MethodSpec::Sbqa(experiments::DefaultSbqaParams());
-  config.sim.delivery_batch_tick = batch_tick;
   // Best-of-3 wall time: the simulation is deterministic, so run-to-run
   // spread is pure scheduler/machine noise and the minimum is the honest
   // cost.
@@ -372,10 +364,10 @@ double ReadScalingBaselineWallMs(const char* path) {
 
 int main() {
   bench::PrintHeader(
-      "Event-engine bench: allocation-free scheduler, batching, end-to-end",
+      "Event-engine bench: allocation-free scheduler, end-to-end",
       "Seed-engine replica (std::function + unordered_set) vs EventFn SBO +\n"
-      "slot-versioned pool; batched dispatch; 800-volunteer wall time and\n"
-      "steady-state allocations per query.");
+      "slot-versioned pool; 800-volunteer wall time and steady-state\n"
+      "allocations per query.");
 
   // 1. Raw scheduler.
   util::TextTable engine_table;
@@ -488,61 +480,14 @@ int main() {
   }
   std::printf("%s\n", depth_table.ToString().c_str());
 
-  // 3. Batched dispatch: fan-in of `burst` same-destination messages per
-  // simulated millisecond through a 1 ms batch tick.
-  util::TextTable batch_table;
-  batch_table.SetHeader({"burst/ms", "messages", "scheduler.events",
-                         "coalesced", "events/msg"});
-  struct BatchResult {
-    size_t burst;
-    uint64_t messages;
-    uint64_t events;
-    uint64_t coalesced;
-  };
-  std::vector<BatchResult> batches;
-  for (size_t burst : {1u, 8u, 64u}) {
-    sim::Scheduler scheduler;
-    sim::NetworkConfig net_config;
-    net_config.batch_tick = 0.001;
-    sim::Network net(&scheduler, util::Rng(11),
-                     std::make_unique<sim::ConstantLatency>(0.0004),
-                     net_config);
-    const sim::Network::Destination inbox = net.RegisterDestination();
-    uint64_t sink = 0;
-    const uint64_t events_before = scheduler.executed();
-    for (int tick = 0; tick < 1000; ++tick) {
-      for (size_t i = 0; i < burst; ++i) {
-        net.SendTo(inbox, [&sink] { ++sink; });
-      }
-      scheduler.RunFor(0.001);
-    }
-    scheduler.Run();
-    batches.push_back({burst, net.messages_sent(),
-                       scheduler.executed() - events_before,
-                       net.messages_coalesced()});
-    batch_table.AddRow(
-        {util::StrFormat("%zu", burst),
-         util::StrFormat("%llu", (unsigned long long)net.messages_sent()),
-         util::StrFormat("%llu",
-                         (unsigned long long)(scheduler.executed() -
-                                              events_before)),
-         util::StrFormat("%llu", (unsigned long long)net.messages_coalesced()),
-         util::FormatDouble(
-             static_cast<double>(scheduler.executed() - events_before) /
-                 static_cast<double>(net.messages_sent()),
-             2)});
-  }
-  std::printf("%s\n", batch_table.ToString().c_str());
-
-  // 4. End-to-end + allocations.
+  // 3. End-to-end + allocations.
   const size_t volunteers = bench::EnvOr("SBQA_BENCH_VOLUNTEERS", 800);
   const double duration =
       static_cast<double>(bench::EnvOr("SBQA_BENCH_DURATION", 300));
   const double baseline_wall = ReadScalingBaselineWallMs("BENCH_scaling.json");
 
   std::vector<E2eRow> e2e;
-  e2e.push_back(RunEndToEnd("exact", volunteers, duration, 0.0));
-  e2e.push_back(RunEndToEnd("batched_1ms", volunteers, duration, 0.001));
+  e2e.push_back(RunEndToEnd("exact", volunteers, duration));
 
   const AllocRow allocs = MeasureQueryAllocations(volunteers);
 
@@ -591,20 +536,6 @@ int main() {
       json.Field("depth", r.depth);
       json.Field("events_per_sec", r.row.events_per_sec, 0);
       json.Field("allocs_per_event", r.row.allocs_per_event, 3);
-      json.EndObject();
-    }
-    json.EndArray();
-    json.BeginArray("batching");
-    for (const auto& b : batches) {
-      json.BeginObject();
-      json.Field("burst_per_ms", b.burst);
-      json.Field("messages", b.messages);
-      json.Field("scheduler_events", b.events);
-      json.Field("messages_coalesced", b.coalesced);
-      json.Field("events_per_message",
-                 static_cast<double>(b.events) /
-                     static_cast<double>(b.messages),
-                 3);
       json.EndObject();
     }
     json.EndArray();

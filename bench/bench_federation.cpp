@@ -161,7 +161,7 @@ SweepRow RunSweepRow(const char* label, federation::TopologyKind topology,
   ScarceCounters counters;
   const auto start = std::chrono::steady_clock::now();
   const experiments::RunResult result =
-      experiments::RunShardedScenario(counters.Attach(config));
+      experiments::RunScenario(counters.Attach(config));
   const double wall_ms =
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)

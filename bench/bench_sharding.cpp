@@ -102,7 +102,7 @@ Sweep RunSweep(size_t providers, uint64_t seed, double duration) {
     experiments::RunResult result;
     for (int attempt = 0; attempt < 2; ++attempt) {
       const auto start = std::chrono::steady_clock::now();
-      result = experiments::RunShardedScenario(
+      result = experiments::RunScenario(
           SweepConfig(providers, shards, seed, duration));
       const double attempt_ms =
           std::chrono::duration_cast<std::chrono::microseconds>(
@@ -334,7 +334,7 @@ TurnoverRow RunTurnover(size_t providers, uint32_t shards, uint64_t seed,
       static_cast<double>(config.joins.max_joins) / duration;
 
   const auto start = std::chrono::steady_clock::now();
-  const experiments::RunResult result = experiments::RunShardedScenario(config);
+  const experiments::RunResult result = experiments::RunScenario(config);
   const double wall_ms =
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)

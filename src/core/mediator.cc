@@ -251,8 +251,7 @@ void Mediator::SubmitQuery(model::Query query) {
   query.issued_at = rt_->now();
   ++stats_.queries_submitted;
   registry_->consumer(query.consumer).OnQueryIssued();
-  // Consumer -> mediator hop (batched into the mediator's inbox when the
-  // network runs in batching mode).
+  // Consumer -> mediator hop.
   if (config_.simulate_network) {
     rt_->SendTo(inbox_, [this, query] { OnQueryArrival(query); });
   } else {

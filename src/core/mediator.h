@@ -447,7 +447,7 @@ class Mediator {
     return static_cast<uint32_t>(handle);
   }
 
-  /// Dense per-provider tables (load view, inflight lists, batching
+  /// Dense per-provider tables (load view, inflight lists, delivery
   /// destinations) sized on demand when providers join at runtime.
   void EnsureProviderTables(model::ProviderId provider);
   /// Reserves every pooled slot's decision vectors at
@@ -635,7 +635,7 @@ class Mediator {
   };
   std::vector<ProviderHealth> health_;
 
-  /// Batching destinations: the mediator's own inbox (query arrivals and
+  /// Delivery destinations: the mediator's own inbox (query arrivals and
   /// results fan into it) and one inbox per provider.
   rt::Destination inbox_ = rt::kNoDestination;
   std::vector<rt::Destination> provider_dest_;

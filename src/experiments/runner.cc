@@ -91,8 +91,8 @@ void AccumulateFaultStats(
   }
 }
 
-/// Epoch applier of the sharded runner: routes each membership op applied
-/// by Registry::AdvanceEpoch to the owning shard's mediator, and wires
+/// Epoch applier of multi-shard runs: routes each membership op applied by
+/// Registry::AdvanceEpoch to the owning shard's mediator, and wires
 /// newly joined volunteers — reputation slot, availability churn process
 /// on the owner shard's scheduler. Lives on the runner's stack for the
 /// whole run; invoked only at barriers with every worker parked.
@@ -157,15 +157,12 @@ class RunnerMembership final : public core::MembershipApplier {
 
 }  // namespace
 
-/// Sharded flavour of RunScenario: one scheduler/network/RNG stream,
-/// registry partition, mediator, workload slice and churn slice per shard,
-/// advanced by the ShardSet barrier protocol. Construction mirrors the
-/// single-engine path phase for phase, so a 1-shard run performs the same
-/// RNG splits and event submissions in the same order — that is what makes
-/// shard_count=1 bit-identical to the classic engine (at one shard
-/// membership ops also apply immediately, classic-style, instead of
-/// deferring to epoch barriers).
-RunResult RunShardedScenario(const ScenarioConfig& config) {
+/// Builds one scheduler/network/RNG stream, registry partition, mediator
+/// group, workload slice and churn slice per shard and advances them by
+/// the ShardSet barrier protocol. At one shard that is one Simulation
+/// stepped in barrier windows on the driver thread, with membership ops
+/// applied immediately instead of at epoch barriers.
+RunResult RunScenario(const ScenarioConfig& config) {
   SBQA_CHECK_GT(config.duration, 0);
   // Per-shard mediator group size: the first member of each group is the
   // shard's gateway for cross-shard traffic.
@@ -176,9 +173,10 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
   sim::ShardSet shards(sim_config);
   const uint32_t shard_count = shards.shard_count();
 
-  // Population: one shared registry, built from shard 0's stream exactly
-  // like the single-engine path (the population is therefore identical
-  // across shard counts), then partitioned.
+  // Population: one shared registry, built from shard 0's stream (the
+  // population is therefore identical across shard counts and methods: it
+  // is split off before any method-dependent randomness), then
+  // partitioned.
   core::Registry registry;
   util::Rng population_rng = shards.shard(0).NewRng();
   const boinc::BuiltPopulation population =
@@ -190,13 +188,13 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
 
   model::ReputationRegistry reputation(registry.provider_count());
 
-  // A mediator group per shard (usually group == 1), each shard optionally
-  // behind a fault injector whose streams derive from (fault_plan.seed,
-  // shard): bit-reproducible per (seed, plan, shard_count), and stream 0
-  // IS the root plan seed so a 1-shard chaos run matches the unsharded
-  // path bit for bit. Injectors are declared before (so destroyed after)
-  // the mediators they back. Construction is shard-major so the per-shard
-  // RNG split order at group == 1 is unchanged from earlier releases.
+  // A mediator group per shard (usually group == 1), each mediator with
+  // its own method instance (per-method state like round-robin cursors
+  // stays local) and optionally behind its own fault injector. Injector
+  // streams derive from (fault_plan.seed, s * group + m): bit-reproducible
+  // per (seed, plan, shard_count, group), and stream 0 IS the root plan
+  // seed. Injectors are declared before (so destroyed after) the
+  // mediators they back. Construction is shard-major.
   std::vector<std::unique_ptr<rt::FaultInjector>> injectors;
   std::vector<std::unique_ptr<core::Mediator>> mediators;
   std::vector<core::Mediator*> mediator_ptrs;  // all, shard-major
@@ -205,14 +203,16 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
   federation::Federation federation;
   mediators.reserve(shard_count * group);
   for (uint32_t s = 0; s < shard_count; ++s) {
-    rt::Runtime* runtime = &shards.shard(s).runtime();
-    if (config.fault_plan.enabled()) {
-      rt::FaultPlan plan = config.fault_plan;
-      plan.seed = util::Rng::StreamSeed(config.fault_plan.seed, s);
-      injectors.push_back(std::make_unique<rt::FaultInjector>(runtime, plan));
-      runtime = injectors.back().get();
-    }
     for (size_t m = 0; m < group; ++m) {
+      rt::Runtime* runtime = &shards.shard(s).runtime();
+      if (config.fault_plan.enabled()) {
+        rt::FaultPlan plan = config.fault_plan;
+        plan.seed =
+            util::Rng::StreamSeed(config.fault_plan.seed, s * group + m);
+        injectors.push_back(
+            std::make_unique<rt::FaultInjector>(runtime, plan));
+        runtime = injectors.back().get();
+      }
       mediators.push_back(std::make_unique<core::Mediator>(
           runtime, &registry, &reputation, MakeMethod(StampedMethod(config)),
           StampedMediator(config)));
@@ -236,8 +236,8 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
     }
   }
   if (group > 1) {
-    // In-shard peer propagation (provider failures reach every group
-    // member's in-flight instances), as in the unsharded federation path.
+    // In-shard peer propagation: provider failures reach every group
+    // member's in-flight instances.
     for (uint32_t s = 0; s < shard_count; ++s) {
       std::vector<core::Mediator*> in_shard(
           mediator_ptrs.begin() + static_cast<long>(s * group),
@@ -250,19 +250,17 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
   if (config.departure.providers_can_leave ||
       config.departure.consumers_can_leave) {
     for (size_t i = 0; i < mediator_ptrs.size(); ++i) {
-      // The gateway sweeps its shard's partition (the single-engine path's
-      // "one sweeper" rule, per shard); other group members check only on
-      // their own mediation events.
+      // The gateway sweeps its shard's partition (one sweeper per shard);
+      // other group members check only on their own mediation events.
       mediator_ptrs[i]->SetDepartureModel(config.departure,
                                           /*run_sweep=*/i % group == 0);
     }
   }
 
-  // Metrics: one collector with a per-shard observer stream each, sampled
-  // at barriers (all workers parked). Shared observers attach directly to
-  // the single mediator at shard_count = 1 (classic semantics, bit-equal
-  // traces) and through the collector's barrier-replayed cross-shard mux
-  // otherwise.
+  // Metrics: one collector with a per-shard observer stream each. Shared
+  // observers attach directly to every mediator at shard_count = 1 (no
+  // cross-shard ordering to fix) and through the collector's
+  // barrier-replayed cross-shard mux otherwise.
   std::vector<sim::Simulation*> sims;
   for (uint32_t s = 0; s < shard_count; ++s) sims.push_back(&shards.shard(s));
   metrics::Collector collector(sims, &registry, mediator_ptrs,
@@ -286,7 +284,8 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
   }
 
   // Workload: one generator per project, each living on its consumer's
-  // owning shard with that shard's strided query-id stream.
+  // owning shard with that shard's strided query-id stream. A shard's
+  // projects round-robin over its group members.
   std::vector<std::unique_ptr<workload::QueryIdSource>> ids;
   for (uint32_t s = 0; s < shard_count; ++s) {
     ids.push_back(std::make_unique<workload::QueryIdSource>(
@@ -295,9 +294,6 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
   }
   std::vector<std::unique_ptr<workload::QueryGenerator>> generators;
   SBQA_CHECK_EQ(population.projects.size(), config.population.projects.size());
-  // With a mediator group per shard, a shard's projects round-robin over
-  // its group members (at group == 1 this is the classic one-per-shard
-  // assignment, untouched).
   std::vector<size_t> group_cursor(shard_count, 0);
   for (size_t i = 0; i < population.projects.size(); ++i) {
     const boinc::ProjectSpec& project = config.population.projects[i];
@@ -315,9 +311,9 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
   }
 
   // Churn: each volunteer's availability process lives on its owning
-  // shard (same volunteer order as the single-engine path within a shard).
-  // At shard_count > 1 the toggles become epoch ops of the membership log;
-  // at one shard they apply immediately, exactly like the classic engine.
+  // shard, driven through the shard's gateway (population order within a
+  // shard). At shard_count > 1 the toggles become epoch ops of the
+  // membership log; at one shard they apply immediately.
   std::vector<std::vector<model::ProviderId>> churn_slices(shard_count);
   for (model::ProviderId volunteer : population.volunteers) {
     churn_slices[registry.ProviderShard(volunteer)].push_back(volunteer);
@@ -328,11 +324,10 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
                                          churn_slices[s], config.churn));
   }
 
-  // Open-system joins. One shard: the classic single process (immediate
-  // mode — same RNG splits, same event order as the single-engine path).
-  // Several shards: one process per shard carrying a strided slice of the
-  // configured arrival stream (rate / n each; max_joins split by stride),
-  // whose arrivals enqueue QueueJoin epoch ops.
+  // Open-system joins. One shard: a single process applying joins
+  // immediately. Several shards: one process per shard carrying a strided
+  // slice of the configured arrival stream (rate / n each; max_joins split
+  // by stride), whose arrivals enqueue QueueJoin epoch ops.
   std::vector<std::unique_ptr<boinc::VolunteerJoinProcess>> joins;
   if (config.joins.enabled) {
     for (uint32_t s = 0; s < shard_count; ++s) {
@@ -351,65 +346,66 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
     }
   }
 
-  // Membership phase of the barrier sequence (drain mailboxes -> apply
-  // membership log -> refresh directory -> resume): the driver applies
-  // every queued op through the owning shard's mediator while all workers
-  // are parked. Initial ops (churn's "start offline" draws) are applied
-  // right here so the t = 0 population state matches the classic engine.
+  // One shard applies membership immediately, and its metrics snapshots
+  // are ordinary events of its scheduler, taken in FIFO order with
+  // whatever else happens at a sample instant. Several shards run the
+  // barrier sequence (drain mailboxes -> apply membership log -> refresh
+  // directory -> resume): the driver applies every queued op through the
+  // owning shard's mediator while all workers are parked, then barrier
+  // hooks refresh the borrow directory when membership or load changed,
+  // flush buffered events to the shared observers and sample metrics when
+  // a sample point has been reached. Hook order matters only for
+  // determinism, not correctness — all of them read quiescent state.
   RunnerMembership membership(&registry, &shards, gateways, mediator_ptrs,
                               &reputation, config.churn);
-  if (shard_count > 1) {
+  double next_sample = config.sample_interval;
+  if (shard_count == 1) {
+    collector.Start(config.duration);
+  } else {
     shards.SetMembershipHook([&registry, &membership](double) {
       registry.AdvanceEpoch(&membership);
     });
+    // Initial ops (churn's "start offline" draws) apply right here, so
+    // the t = 0 population state matches one shard's.
     if (registry.HasPendingMembershipOps()) {
       registry.AdvanceEpoch(&membership);
     }
     directory.Refresh(registry);
-  }
-
-  // Barrier hooks (they run after the membership phase): refresh the
-  // borrow directory when membership or load changed, flush buffered
-  // events to the shared observers, then sample metrics when a sample
-  // point has been reached. Hook order matters only for determinism, not
-  // correctness — all of them read quiescent state.
-  if (shard_count > 1) {
     shards.AddBarrierHook([&directory, &registry](double) {
       directory.RefreshIfChanged(registry);
     });
-  }
-  if (collector.has_shared_observers()) {
-    shards.AddBarrierHook(
-        [&collector](double) { collector.FlushSharedObservers(); });
-  }
-  collector.Snapshot();  // t = 0 baseline, like Collector::Start()
-  double next_sample = config.sample_interval;
-  const double sample_until = config.duration;
-  shards.AddBarrierHook([&collector, &next_sample, sample_until,
-                         &config](double now) {
-    while (next_sample <= now + 1e-9 && next_sample <= sample_until + 1e-9) {
-      collector.Snapshot();
-      next_sample += config.sample_interval;
+    if (collector.has_shared_observers()) {
+      shards.AddBarrierHook(
+          [&collector](double) { collector.FlushSharedObservers(); });
     }
-  });
+    collector.Snapshot();  // t = 0 baseline, like Collector::Start()
+    shards.AddBarrierHook([&collector, &next_sample, &config](double now) {
+      while (next_sample <= now + 1e-9 &&
+             next_sample <= config.duration + 1e-9) {
+        collector.Snapshot();
+        next_sample += config.sample_interval;
+      }
+    });
+  }
 
   shards.RunUntil(config.duration);
   // Drain in-flight queries (and cross-shard mailboxes) so satisfaction /
-  // response accounting is complete. The horizon covers the full retry
-  // budget when re-mediation is on.
+  // response accounting is complete (no new queries are generated past
+  // `duration`). The horizon covers the full retry budget when
+  // re-mediation is on.
   const double lifetime = QueryLifetimeBound(config);
   const double drain_horizon = config.duration + lifetime;
   shards.RunUntil(drain_horizon);
-  if (shard_count > 1) {
-    // A borrowed query whose attempt ends on its donor shard at the
-    // horizon itself re-homes its outcome one mailbox hop later: keep
-    // advancing barrier windows until every query finalized, capped at
-    // one more query lifetime.
-    const double settle_cap = drain_horizon + lifetime;
-    while (!AllFinalized(mediator_ptrs) && shards.now() < settle_cap) {
-      shards.RunUntil(
-          std::min(settle_cap, shards.now() + shards.current_barrier_tick()));
-    }
+  // Attempt timeouts are armed at dispatch, after the mediator hop and the
+  // intention round trip, so a query issued just before `duration` can
+  // time out past the horizon; a borrowed query whose attempt ends on its
+  // donor shard at the horizon re-homes its outcome one mailbox hop later.
+  // Keep advancing barrier windows until every query finalized, capped at
+  // one more query lifetime (a no-op when everything already has).
+  const double settle_cap = drain_horizon + lifetime;
+  while (!AllFinalized(mediator_ptrs) && shards.now() < settle_cap) {
+    shards.RunUntil(
+        std::min(settle_cap, shards.now() + config.sim.shard_barrier_tick));
   }
   collector.FlushSharedObservers();  // settlement-window stragglers
 
@@ -422,119 +418,6 @@ RunResult RunShardedScenario(const ScenarioConfig& config) {
   result.membership_epochs = registry.membership_epoch();
   result.membership_ops = registry.membership_ops_applied();
   result.membership_apply_seconds = shards.membership_apply_seconds();
-  HarvestDecisionPhases(mediators, &result);
-  return result;
-}
-
-RunResult RunScenario(const ScenarioConfig& config) {
-  SBQA_CHECK_GT(config.duration, 0);
-  if (config.sim.shard_count > 1) return RunShardedScenario(config);
-
-  // Substrate.
-  sim::SimulationConfig sim_config = config.sim;
-  sim_config.seed = config.seed;
-  sim::Simulation simulation(sim_config);
-
-  // Population (identical across methods for a fixed seed: the population
-  // stream is split off before any method-dependent randomness).
-  core::Registry registry;
-  util::Rng population_rng = simulation.NewRng();
-  const boinc::BuiltPopulation population =
-      boinc::BuildPopulation(config.population, &registry, &population_rng);
-  if (config.population_hook) {
-    config.population_hook(&registry, population, &population_rng);
-  }
-
-  model::ReputationRegistry reputation(registry.provider_count());
-
-  // Mediator federation with the method under test (each mediator gets its
-  // own method instance so per-method state like round-robin cursors stays
-  // local, as it would on separate machines).
-  const size_t mediator_count = std::max<size_t>(config.mediator_count, 1);
-  std::vector<std::unique_ptr<rt::FaultInjector>> injectors;
-  std::vector<std::unique_ptr<core::Mediator>> mediators;
-  std::vector<core::Mediator*> mediator_ptrs;
-  mediators.reserve(mediator_count);
-  for (size_t m = 0; m < mediator_count; ++m) {
-    rt::Runtime* runtime = &simulation.runtime();
-    if (config.fault_plan.enabled()) {
-      // Same stream derivation as the sharded path (mediator m == shard m),
-      // so mediator_count = 1 uses the root plan seed directly.
-      rt::FaultPlan plan = config.fault_plan;
-      plan.seed = util::Rng::StreamSeed(config.fault_plan.seed, m);
-      injectors.push_back(std::make_unique<rt::FaultInjector>(runtime, plan));
-      runtime = injectors.back().get();
-    }
-    mediators.push_back(std::make_unique<core::Mediator>(
-        runtime, &registry, &reputation, MakeMethod(StampedMethod(config)),
-        StampedMediator(config)));
-    mediator_ptrs.push_back(mediators.back().get());
-  }
-  for (const auto& mediator : mediators) {
-    mediator->SetPeers(mediator_ptrs);
-  }
-  if (config.departure.providers_can_leave ||
-      config.departure.consumers_can_leave) {
-    for (size_t m = 0; m < mediators.size(); ++m) {
-      // Exactly one mediator runs the periodic sweep; all of them check on
-      // their own mediation events.
-      mediators[m]->SetDepartureModel(config.departure, /*run_sweep=*/m == 0);
-    }
-  }
-
-  // Metrics.
-  metrics::Collector collector(&simulation, &registry, mediator_ptrs,
-                               config.sample_interval);
-  for (core::MediationObserver* observer : config.observers) {
-    for (const auto& mediator : mediators) {
-      mediator->AddObserver(observer);
-    }
-  }
-
-  // Workload: one generator per project, sharded over the federation.
-  workload::QueryIdSource ids;
-  std::vector<std::unique_ptr<workload::QueryGenerator>> generators;
-  SBQA_CHECK_EQ(population.projects.size(), config.population.projects.size());
-  for (size_t i = 0; i < population.projects.size(); ++i) {
-    const boinc::ProjectSpec& project = config.population.projects[i];
-    workload::ArrivalParams arrivals;
-    arrivals.rate = project.arrival_rate;
-    arrivals.end_time = config.duration;
-    arrivals.deadline = config.query_deadline;
-    generators.push_back(std::make_unique<workload::QueryGenerator>(
-        &simulation, mediator_ptrs[i % mediator_count], &ids,
-        population.projects[i], arrivals, project.cost));
-    generators.back()->Start();
-  }
-
-  // Open-system dynamics (driven through the first mediator; availability
-  // and join effects propagate through the shared registry and peers).
-  const std::vector<std::unique_ptr<workload::ChurnProcess>> churn =
-      workload::StartChurn(&simulation, mediator_ptrs.front(),
-                           population.volunteers, config.churn);
-  std::unique_ptr<boinc::VolunteerJoinProcess> joins;
-  if (config.joins.enabled) {
-    boinc::VolunteerJoinParams join_params = config.joins;
-    joins = std::make_unique<boinc::VolunteerJoinProcess>(
-        &simulation, mediator_ptrs.front(), &reputation, config.population,
-        population.projects, join_params, config.churn);
-    joins->Start();
-  }
-
-  collector.Start(config.duration);
-  simulation.RunUntil(config.duration);
-  // Drain in-flight queries so satisfaction/response accounting is complete
-  // (no new queries are generated past `duration`). The horizon covers the
-  // full retry budget when re-mediation is on.
-  const double drain_horizon = config.duration + QueryLifetimeBound(config);
-  simulation.RunUntil(drain_horizon);
-
-  RunResult result;
-  result.summary = collector.Summarize(config.duration);
-  AccumulateFaultStats(injectors, &result.summary);
-  result.series = collector.series();
-  result.consumers = collector.ConsumerSnapshots();
-  result.providers = collector.ProviderSnapshots();
   HarvestDecisionPhases(mediators, &result);
   return result;
 }

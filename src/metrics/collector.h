@@ -10,9 +10,9 @@
 /// read), so that in sharded mode — one mediator per shard, one worker
 /// thread per shard — each stream has a single writer and the collector
 /// stays race-free without locks. Population snapshots read the whole
-/// registry and must only run while shards are quiescent: the legacy
-/// single-engine path schedules them as simulation events (Start), the
-/// sharded path drives Snapshot() from a ShardSet barrier hook.
+/// registry and must only run while shards are quiescent: a hand-built
+/// single-Simulation stack schedules them as simulation events (Start),
+/// the experiment runner drives Snapshot() from a ShardSet barrier hook.
 ///
 /// Shared observers under sharding: an observer that wants to watch EVERY
 /// shard cannot be attached to the mediators directly (it would be called
@@ -62,8 +62,9 @@ class Collector {
             double sample_interval = 10.0);
 
   /// Schedules periodic snapshots until `until` (simulation time) as
-  /// events of sims[0]. Single-engine mode only (the snapshot reads every
-  /// shard's state, which is only safe mid-run when there is one shard).
+  /// events of sims[0]. One-simulation collectors only (the snapshot reads
+  /// every shard's state, which is only safe mid-run when there is one
+  /// shard).
   void Start(double until);
 
   /// Takes one population snapshot now. In sharded mode call this from a

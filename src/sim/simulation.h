@@ -24,11 +24,6 @@ struct SimulationConfig {
   double latency_median = 0.020;  ///< one-way message latency median (s)
   double latency_sigma = 0.35;    ///< log-space spread; 0 = constant latency
   double latency_floor = 0.001;   ///< hard minimum latency (s)
-  /// Delivery quantization tick for batched destination-aware sends
-  /// (see NetworkConfig::batch_tick). 0 = exact per-message delivery —
-  /// the default, and the right one below ~10 same-destination messages
-  /// per tick (see src/sim/README.md for the measured sweep).
-  double delivery_batch_tick = 0.0;
   /// Priority structure of the event queue: the O(1) ladder queue by
   /// default, the 4-ary heap (SchedulerKind::kHeap) as the differential-
   /// testing fallback. Traces are bit-identical either way.
@@ -45,30 +40,23 @@ struct SimulationConfig {
   /// steady-clock reads per phase).
   bool decision_timing = false;
 
-  // --- Sharding (consumed by ShardSet and the experiment runner; a
-  // --- standalone Simulation ignores these) --------------------------------
+  // --- Sharding (consumed by ShardSet, which the experiment runner drives
+  // --- at every shard count) -----------------------------------------------
 
   /// Number of independent shards, each with its own scheduler, network,
-  /// registry partition and mediator, connected by the deterministic
-  /// cross-shard mailbox. 1 = the classic single-engine simulation.
+  /// registry partition and mediator group, connected by the deterministic
+  /// cross-shard mailbox. 1 = one Simulation advanced in barrier windows
+  /// on the driver thread (no worker thread, no mailbox scan).
   uint32_t shard_count = 1;
   /// Width (seconds) of the barrier window: shards run independently for
   /// one window, then exchange cross-shard messages at the barrier. Bounds
-  /// the extra latency of a cross-shard hop.
+  /// the extra latency of a cross-shard hop; at one shard it only paces
+  /// metrics sampling and the drain-horizon settle loop.
   double shard_barrier_tick = 0.005;
   /// Run one worker thread per shard between barriers. Off = the driver
   /// runs shards sequentially in shard order; both modes produce identical
   /// traces (shards only interact at barriers).
   bool shard_use_threads = true;
-  /// Auto-tune the barrier window from observed cross-shard mailbox
-  /// traffic (off by default): the driver halves the window when a barrier
-  /// drains more than one message per shard (high delegation rate — the
-  /// extra hop latency the window adds starts to matter) and doubles it
-  /// back toward shard_barrier_tick when the mailboxes stay idle (fewer
-  /// synchronizations for free). The adapted window never drops below
-  /// shard_barrier_tick / 64. Deterministic: the tick sequence depends
-  /// only on drained message counts, which are themselves deterministic.
-  bool adaptive_barrier = false;
 };
 
 /// Owns the event scheduler, the network and the root RNG.

@@ -516,10 +516,10 @@ TEST(ChaosScenarioTest, ChaosRunCompletesEveryQueryTerminally) {
 TEST(ChaosScenarioTest, ChaosTraceIsBitReproduciblePerShardCount) {
   for (uint32_t shards : {1u, 2u, 4u}) {
     ShardTraces first_traces;
-    const experiments::RunResult first = experiments::RunShardedScenario(
+    const experiments::RunResult first = experiments::RunScenario(
         first_traces.Attach(ChaosConfig(/*seed=*/7, shards, true)));
     ShardTraces second_traces;
-    const experiments::RunResult second = experiments::RunShardedScenario(
+    const experiments::RunResult second = experiments::RunScenario(
         second_traces.Attach(ChaosConfig(/*seed=*/7, shards, true)));
 
     EXPECT_EQ(first_traces.hashes(), second_traces.hashes())
@@ -535,10 +535,10 @@ TEST(ChaosScenarioTest, ChaosTraceIsBitReproduciblePerShardCount) {
 
 TEST(ChaosScenarioTest, ChaosThreadedMatchesSerial) {
   ShardTraces threaded_traces;
-  const experiments::RunResult threaded = experiments::RunShardedScenario(
+  const experiments::RunResult threaded = experiments::RunScenario(
       threaded_traces.Attach(ChaosConfig(/*seed=*/11, /*shards=*/3, true)));
   ShardTraces serial_traces;
-  const experiments::RunResult serial = experiments::RunShardedScenario(
+  const experiments::RunResult serial = experiments::RunScenario(
       serial_traces.Attach(ChaosConfig(/*seed=*/11, /*shards=*/3, false)));
 
   EXPECT_EQ(threaded_traces.hashes(), serial_traces.hashes());
@@ -548,29 +548,37 @@ TEST(ChaosScenarioTest, ChaosThreadedMatchesSerial) {
 }
 
 TEST(ChaosScenarioTest, ShardCountOneChaosMatchesClassicEngine) {
-  // StreamSeed(seed, 0) == seed: the single-shard injector replays the
-  // exact unsharded fault schedule.
-  TraceRecorder classic;
-  experiments::ScenarioConfig legacy =
-      ChaosConfig(/*seed=*/21, /*shards=*/1, false);
-  legacy.observers.push_back(&classic);
-  const experiments::RunResult legacy_result =
-      experiments::RunScenario(legacy);
-
+  // Golden values recorded from the single-Simulation runner that one
+  // shard replaced. StreamSeed(seed, 0) == seed: the one injector replays
+  // the root plan's fault schedule.
+  TraceRecorder shared;
   ShardTraces traces;
-  const experiments::RunResult sharded_result =
-      experiments::RunShardedScenario(
-          traces.Attach(ChaosConfig(/*seed=*/21, /*shards=*/1, false)));
+  experiments::ScenarioConfig config =
+      traces.Attach(ChaosConfig(/*seed=*/21, /*shards=*/1, false));
+  config.observers.push_back(&shared);
+  const experiments::RunResult result = experiments::RunScenario(config);
 
-  EXPECT_EQ(classic.hash(), traces.recorders[0]->hash());
-  EXPECT_EQ(legacy_result.summary.queries_finalized,
-            sharded_result.summary.queries_finalized);
-  EXPECT_EQ(legacy_result.summary.retry_attempts,
-            sharded_result.summary.retry_attempts);
-  EXPECT_EQ(legacy_result.summary.fault_sends_dropped,
-            sharded_result.summary.fault_sends_dropped);
-  EXPECT_EQ(legacy_result.summary.fault_sends_crashed,
-            sharded_result.summary.fault_sends_crashed);
+  EXPECT_EQ(shared.hash(), traces.recorders[0]->hash());
+  EXPECT_EQ(shared.hash(), 0xfb6ccb293f2117ddull);
+  const metrics::RunSummary& s = result.summary;
+  EXPECT_EQ(s.queries_submitted, 316);
+  EXPECT_EQ(s.queries_finalized, 316);
+  EXPECT_EQ(s.queries_fully_served, 80);
+  EXPECT_EQ(s.queries_satisfied, 101);
+  EXPECT_EQ(s.queries_recovered, 3);
+  EXPECT_EQ(s.queries_timed_out, 212);
+  EXPECT_EQ(s.retry_attempts, 59);
+  EXPECT_EQ(s.messages_sent, 2104);
+  EXPECT_EQ(s.provider_offline_events, 70);
+  EXPECT_EQ(s.fault_sends_dropped, 42);
+  EXPECT_EQ(s.fault_sends_delayed, 38);
+  EXPECT_EQ(s.fault_sends_crashed, 160);
+  EXPECT_EQ(std::bit_cast<uint64_t>(s.consumer_satisfaction),
+            0x3fd7a03b1a5823d3ull);
+  EXPECT_EQ(std::bit_cast<uint64_t>(s.provider_satisfaction),
+            0x3fe03f7a6c88066bull);
+  EXPECT_EQ(std::bit_cast<uint64_t>(s.mean_response_time),
+            0x40145a03109aad3cull);
 }
 
 // --- Engine shedding ---------------------------------------------------------

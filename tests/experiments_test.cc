@@ -140,6 +140,25 @@ TEST(RunnerTest, AllMethodsRunCleanly) {
   }
 }
 
+TEST(RunnerTest, QueriesTimingOutPastTheDrainHorizonAreFinalized) {
+  // An attempt's timeout is armed at dispatch, after the mediator hop and
+  // the intention round trip. With every dispatch dropped and no
+  // per-query deadline, a query issued in the last round trip before
+  // `duration` times out after duration + query_timeout; the runner must
+  // keep settling until it is finalized.
+  ScenarioConfig config = BaseDemoConfig(/*seed=*/5, /*volunteers=*/120,
+                                         /*duration=*/5.0);
+  config.population.projects[1].arrival_rate = 400;
+  config.mediator.query_timeout = 2;
+  config.fault_plan.drop_send_prob = 1.0;
+  ASSERT_EQ(config.query_deadline, 0);
+  ASSERT_EQ(config.sim.shard_count, 1u);
+  const RunResult result = RunScenario(config);
+  EXPECT_GT(result.summary.queries_submitted, 1000);
+  EXPECT_EQ(result.summary.queries_submitted,
+            result.summary.queries_finalized);
+}
+
 TEST(ReportTest, TablesHaveOneRowPerResult) {
   const std::vector<RunResult> results =
       CompareMethods(SmallConfig(), BaselineMethods());

@@ -136,13 +136,13 @@ TEST(FederationShardedTest, DefaultConfigMatchesExplicitMeshBudgetOne) {
   // The default config (federation.enabled false) on the starved golden
   // seed...
   ShardTraces legacy_traces;
-  const RunResult legacy = RunShardedScenario(
+  const RunResult legacy = RunScenario(
       legacy_traces.Attach(StarvedConfig(/*seed=*/21, /*shards=*/4, true)));
   ASSERT_GT(legacy.summary.queries_delegated, 0);
 
   // ...and the same scenario with the full mesh and one hop spelled out.
   ShardTraces fed_traces;
-  const RunResult fed = RunShardedScenario(fed_traces.Attach(
+  const RunResult fed = RunScenario(fed_traces.Attach(
       WithFederation(StarvedConfig(/*seed=*/21, /*shards=*/4, true),
                      federation::TopologyKind::kFullMesh,
                      /*hop_budget=*/1)));
@@ -176,16 +176,16 @@ TEST(FederationShardedTest, MultiHopRingReproducesThreadedAndSerial) {
   };
 
   ShardTraces first;
-  const RunResult a = RunShardedScenario(first.Attach(ring_config(true)));
+  const RunResult a = RunScenario(first.Attach(ring_config(true)));
   ShardTraces second;
-  const RunResult b = RunShardedScenario(second.Attach(ring_config(true)));
+  const RunResult b = RunScenario(second.Attach(ring_config(true)));
   EXPECT_EQ(first.hashes(), second.hashes());
   EXPECT_EQ(a.summary.queries_finalized, b.summary.queries_finalized);
   EXPECT_EQ(std::bit_cast<uint64_t>(a.summary.consumer_satisfaction),
             std::bit_cast<uint64_t>(b.summary.consumer_satisfaction));
 
   ShardTraces serial;
-  RunShardedScenario(serial.Attach(ring_config(false)));
+  RunScenario(serial.Attach(ring_config(false)));
   EXPECT_EQ(first.hashes(), serial.hashes());
 
   // The ring actually multi-hops: shard 1's starved queries reach donors
@@ -207,7 +207,7 @@ TEST(FederationShardedTest, BorrowedOutcomesAtTheDrainHorizonReachHome) {
   config.query_deadline = 2.0;
   config.mediator.query_timeout = 2.0;
   config.fault_plan.drop_send_prob = 1.0;
-  const RunResult result = RunShardedScenario(config);
+  const RunResult result = RunScenario(config);
 
   const metrics::RunSummary& s = result.summary;
   EXPECT_GT(s.queries_delegated, 0);
@@ -231,12 +231,12 @@ TEST(FederationShardedTest, ChainStatsSurviveChurnAndStaleDirectories) {
   };
 
   ShardTraces first;
-  const RunResult a = RunShardedScenario(first.Attach(churn_config()));
+  const RunResult a = RunScenario(first.Attach(churn_config()));
   ExpectChainStatsConsistent(a.summary);
   EXPECT_GT(a.summary.queries_delegated, 0);
 
   ShardTraces second;
-  RunShardedScenario(second.Attach(churn_config()));
+  RunScenario(second.Attach(churn_config()));
   EXPECT_EQ(first.hashes(), second.hashes());
 }
 
@@ -253,7 +253,7 @@ TEST(FederationShardedTest, ChainsTerminateWhenEveryShardIsDry) {
       registry->provider(v).RestrictClasses({model::QueryClassId{0}});
     }
   };
-  const RunResult result = RunShardedScenario(WithFederation(
+  const RunResult result = RunScenario(WithFederation(
       std::move(config), federation::TopologyKind::kRing, /*hop_budget=*/4));
 
   const metrics::RunSummary& s = result.summary;
@@ -276,27 +276,27 @@ TEST(FederationShardedTest, MediatorGroupsPerShardCompleteAndReproduce) {
   };
 
   ShardTraces first;
-  const RunResult a = RunShardedScenario(first.Attach(group_config()));
+  const RunResult a = RunScenario(first.Attach(group_config()));
   EXPECT_EQ(a.summary.queries_submitted, a.summary.queries_finalized);
   EXPECT_GT(a.summary.queries_delegated, 0);
   ExpectChainStatsConsistent(a.summary);
 
   ShardTraces second;
-  const RunResult b = RunShardedScenario(second.Attach(group_config()));
+  const RunResult b = RunScenario(second.Attach(group_config()));
   EXPECT_EQ(first.hashes(), second.hashes());
   EXPECT_EQ(a.summary.queries_finalized, b.summary.queries_finalized);
 
   ShardTraces serial;
   auto serial_config = group_config();
   serial_config.sim.shard_use_threads = false;
-  RunShardedScenario(serial.Attach(serial_config));
+  RunScenario(serial.Attach(serial_config));
   EXPECT_EQ(first.hashes(), serial.hashes());
 
   // Groups on the default config keep working too (one-hop mesh chains
   // from every group member, tickets from the gateway's pool).
   ScenarioConfig plain = StarvedConfig(/*seed=*/17, /*shards=*/2, true);
   plain.mediator_count = 3;
-  const RunResult c = RunShardedScenario(plain);
+  const RunResult c = RunScenario(plain);
   EXPECT_EQ(c.summary.queries_submitted, c.summary.queries_finalized);
 }
 

@@ -1,9 +1,9 @@
 // Cross-shard determinism tests — the acceptance gate of the sharded
 // engine:
 //
-//   1. shard_count = 1 through the sharded machinery is bit-identical to
-//      the classic single-engine path (same allocation trace, same
-//      counters) on a demo-scenario golden seed;
+//   1. shard_count = 1 reproduces the golden allocation trace and
+//      counters recorded from the single-Simulation runner it replaced,
+//      on a demo-scenario seed;
 //   2. a fixed (seed, shard_count) reproduces identical allocation traces
 //      run after run, with worker threads on;
 //   3. threaded and serial execution produce identical traces;
@@ -104,46 +104,47 @@ ScenarioConfig SmallConfig(uint64_t seed, uint32_t shards, bool threads) {
 }
 
 TEST(ShardingDeterminismTest, ShardCountOneIsBitIdenticalToClassicEngine) {
-  // Classic engine with a shared trace observer.
-  TraceRecorder classic;
-  ScenarioConfig legacy = SmallConfig(/*seed=*/42, /*shards=*/1, false);
-  legacy.observers.push_back(&classic);
-  const RunResult legacy_result = RunScenario(legacy);
-
-  // Sharded machinery forced at shard_count = 1.
+  // Golden values recorded from the single-Simulation runner that one
+  // shard replaced: the barrier engine at shard_count = 1 reproduces its
+  // allocation trace and summary bit for bit, seen from a shared observer
+  // and from the per-shard observer alike.
+  TraceRecorder shared;
   ShardTraces traces;
-  const ScenarioConfig sharded =
+  ScenarioConfig config =
       traces.Attach(SmallConfig(/*seed=*/42, /*shards=*/1, false));
-  const RunResult sharded_result = RunShardedScenario(sharded);
+  config.observers.push_back(&shared);
+  const RunResult result = RunScenario(config);
 
-  EXPECT_EQ(classic.hash(), traces.recorders[0]->hash());
-  EXPECT_EQ(classic.mediations(), traces.recorders[0]->mediations());
-  EXPECT_EQ(classic.outcomes(), traces.recorders[0]->outcomes());
+  EXPECT_EQ(shared.hash(), traces.recorders[0]->hash());
+  EXPECT_EQ(shared.hash(), 0xa2c5ec3c30a69b9cull);
+  EXPECT_EQ(shared.mediations(), 462);
+  EXPECT_EQ(shared.outcomes(), 462);
+  EXPECT_EQ(traces.recorders[0]->mediations(), 462);
+  EXPECT_EQ(traces.recorders[0]->outcomes(), 462);
 
-  const metrics::RunSummary& a = legacy_result.summary;
-  const metrics::RunSummary& b = sharded_result.summary;
-  EXPECT_EQ(a.queries_submitted, b.queries_submitted);
-  EXPECT_EQ(a.queries_finalized, b.queries_finalized);
-  EXPECT_EQ(a.queries_fully_served, b.queries_fully_served);
-  EXPECT_EQ(a.queries_timed_out, b.queries_timed_out);
-  EXPECT_EQ(a.messages_sent, b.messages_sent);
+  const metrics::RunSummary& s = result.summary;
+  EXPECT_EQ(s.queries_submitted, 462);
+  EXPECT_EQ(s.queries_finalized, 462);
+  EXPECT_EQ(s.queries_fully_served, 462);
+  EXPECT_EQ(s.queries_timed_out, 0);
+  EXPECT_EQ(s.messages_sent, 3234);
   // Bit-identical accumulation, not just statistical agreement.
-  EXPECT_EQ(std::bit_cast<uint64_t>(a.consumer_satisfaction),
-            std::bit_cast<uint64_t>(b.consumer_satisfaction));
-  EXPECT_EQ(std::bit_cast<uint64_t>(a.provider_satisfaction),
-            std::bit_cast<uint64_t>(b.provider_satisfaction));
-  EXPECT_EQ(std::bit_cast<uint64_t>(a.mean_response_time),
-            std::bit_cast<uint64_t>(b.mean_response_time));
-  EXPECT_EQ(b.queries_delegated, 0);
-  EXPECT_EQ(b.queries_borrowed, 0);
+  EXPECT_EQ(std::bit_cast<uint64_t>(s.consumer_satisfaction),
+            0x3fe4a31013b86ee4ull);
+  EXPECT_EQ(std::bit_cast<uint64_t>(s.provider_satisfaction),
+            0x3fdfeef263d15e66ull);
+  EXPECT_EQ(std::bit_cast<uint64_t>(s.mean_response_time),
+            0x4016d51d0e7091ecull);
+  EXPECT_EQ(s.queries_delegated, 0);
+  EXPECT_EQ(s.queries_borrowed, 0);
 }
 
 TEST(ShardingDeterminismTest, FixedSeedAndShardCountReproducesThreaded) {
   ShardTraces first_traces;
-  const RunResult first = RunShardedScenario(
+  const RunResult first = RunScenario(
       first_traces.Attach(SmallConfig(/*seed=*/7, /*shards=*/4, true)));
   ShardTraces second_traces;
-  const RunResult second = RunShardedScenario(
+  const RunResult second = RunScenario(
       second_traces.Attach(SmallConfig(/*seed=*/7, /*shards=*/4, true)));
 
   EXPECT_EQ(first_traces.hashes(), second_traces.hashes());
@@ -156,10 +157,10 @@ TEST(ShardingDeterminismTest, FixedSeedAndShardCountReproducesThreaded) {
 
 TEST(ShardingDeterminismTest, ThreadedAndSerialTracesMatch) {
   ShardTraces threaded_traces;
-  const RunResult threaded = RunShardedScenario(
+  const RunResult threaded = RunScenario(
       threaded_traces.Attach(SmallConfig(/*seed=*/11, /*shards=*/3, true)));
   ShardTraces serial_traces;
-  const RunResult serial = RunShardedScenario(
+  const RunResult serial = RunScenario(
       serial_traces.Attach(SmallConfig(/*seed=*/11, /*shards=*/3, false)));
 
   EXPECT_EQ(threaded_traces.hashes(), serial_traces.hashes());
@@ -171,7 +172,7 @@ TEST(ShardingDeterminismTest, ThreadedAndSerialTracesMatch) {
 
 TEST(ShardingDeterminismTest, EveryShardMediatesWork) {
   ShardTraces traces;
-  const RunResult result = RunShardedScenario(
+  const RunResult result = RunScenario(
       traces.Attach(SmallConfig(/*seed=*/5, /*shards=*/3, true)));
   // Three projects round-robin onto three shards: every shard has a
   // consumer and its own provider block, so every shard mediates.
@@ -203,7 +204,7 @@ TEST(ShardingDeterminismTest, BorrowPathServesStarvedShardDeterministically) {
 
   ShardTraces traces;
   const RunResult result =
-      RunShardedScenario(traces.Attach(starved_config(true)));
+      RunScenario(traces.Attach(starved_config(true)));
 
   // Shard 1's pool for class 1 is dry -> its queries went over the
   // mailbox and were mediated (borrowed) elsewhere, and still completed.
@@ -219,10 +220,10 @@ TEST(ShardingDeterminismTest, BorrowPathServesStarvedShardDeterministically) {
 
   // And the borrow protocol is deterministic, threaded or serial.
   ShardTraces repeat_traces;
-  RunShardedScenario(repeat_traces.Attach(starved_config(true)));
+  RunScenario(repeat_traces.Attach(starved_config(true)));
   EXPECT_EQ(traces.hashes(), repeat_traces.hashes());
   ShardTraces serial_traces;
-  RunShardedScenario(serial_traces.Attach(starved_config(false)));
+  RunScenario(serial_traces.Attach(starved_config(false)));
   EXPECT_EQ(traces.hashes(), serial_traces.hashes());
 }
 

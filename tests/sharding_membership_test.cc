@@ -6,9 +6,9 @@
 //      per (seed, shard_count) at 1, 2 and 4 shards, threaded or serial,
 //      with BOTH shared observers (collector mux) and per-shard observers
 //      recording identical traces run to run;
-//   2. shard_count = 1 through the epoch-capable sharded machinery matches
-//      the classic single-engine summaries bit for bit with joins and
-//      churn enabled;
+//   2. shard_count = 1 reproduces the golden trace and summaries recorded
+//      from the single-Simulation runner it replaced, bit for bit, with
+//      joins and churn enabled;
 //   3. a provider departing (or churning offline) with queries in flight
 //      never leaks an in-flight pool slot, and the availability-churn
 //      steady state stays allocation-free (counting allocator + slot
@@ -140,10 +140,10 @@ TEST(ShardingMembershipTest, DynamicScenariosAreBitReproduciblePerShardCount) {
   for (uint32_t shards : {1u, 2u, 4u}) {
     Traces first;
     const RunResult a =
-        RunShardedScenario(first.Attach(DynamicConfig(17, shards, true)));
+        RunScenario(first.Attach(DynamicConfig(17, shards, true)));
     Traces second;
     const RunResult b =
-        RunShardedScenario(second.Attach(DynamicConfig(17, shards, true)));
+        RunScenario(second.Attach(DynamicConfig(17, shards, true)));
 
     EXPECT_EQ(first.hashes(), second.hashes()) << shards << " shards";
     EXPECT_EQ(a.summary.queries_finalized, b.summary.queries_finalized);
@@ -163,7 +163,7 @@ TEST(ShardingMembershipTest, DynamicScenariosAreBitReproduciblePerShardCount) {
       EXPECT_GT(a.membership_epochs, 0u);
       EXPECT_GT(a.membership_ops, 0u);
     } else {
-      // One shard applies membership immediately (classic semantics).
+      // One shard applies membership immediately (no epochs).
       EXPECT_EQ(a.membership_ops, 0u);
     }
     // The shared observer saw the whole run, merged across shards.
@@ -180,10 +180,10 @@ TEST(ShardingMembershipTest, DynamicScenariosAreBitReproduciblePerShardCount) {
 TEST(ShardingMembershipTest, ThreadedAndSerialDynamicTracesMatch) {
   Traces threaded;
   const RunResult a =
-      RunShardedScenario(threaded.Attach(DynamicConfig(23, 3, true)));
+      RunScenario(threaded.Attach(DynamicConfig(23, 3, true)));
   Traces serial;
   const RunResult b =
-      RunShardedScenario(serial.Attach(DynamicConfig(23, 3, false)));
+      RunScenario(serial.Attach(DynamicConfig(23, 3, false)));
 
   EXPECT_EQ(threaded.hashes(), serial.hashes());
   EXPECT_EQ(a.summary.queries_finalized, b.summary.queries_finalized);
@@ -195,40 +195,36 @@ TEST(ShardingMembershipTest, ThreadedAndSerialDynamicTracesMatch) {
 }
 
 TEST(ShardingMembershipTest, EpochPathAtOneShardMatchesClassicEngine) {
-  // Classic single-engine run with joins + churn...
-  ScenarioConfig classic_config = DynamicConfig(42, 1, false);
-  TraceRecorder classic_trace;
-  classic_config.observers.push_back(&classic_trace);
-  const RunResult classic = RunScenario(classic_config);
-
-  // ...vs the same scenario through the epoch-capable sharded machinery.
+  // Golden values recorded from the single-Simulation runner that one
+  // shard replaced, with joins + churn + departures: the shared observer
+  // and the per-shard observer see the same trace, and the summary
+  // matches bit for bit.
   Traces traces;
-  const RunResult sharded =
-      RunShardedScenario(traces.Attach(DynamicConfig(42, 1, false)));
+  const RunResult result =
+      RunScenario(traces.Attach(DynamicConfig(42, 1, false)));
 
-  EXPECT_EQ(classic_trace.hash(), traces.shared.hash());
-  EXPECT_EQ(classic_trace.hash(), traces.per_shard[0]->hash());
-  EXPECT_EQ(classic_trace.mediations(), traces.shared.mediations());
+  EXPECT_EQ(traces.shared.hash(), traces.per_shard[0]->hash());
+  EXPECT_EQ(traces.shared.hash(), 0x92f9fb73d9af78cdull);
+  EXPECT_EQ(traces.shared.mediations(), 462);
+  EXPECT_EQ(traces.shared.outcomes(), 462);
+  EXPECT_EQ(traces.shared.availability_events(), 2513);
 
-  const metrics::RunSummary& a = classic.summary;
-  const metrics::RunSummary& b = sharded.summary;
-  EXPECT_EQ(a.queries_submitted, b.queries_submitted);
-  EXPECT_EQ(a.queries_finalized, b.queries_finalized);
-  EXPECT_EQ(a.queries_fully_served, b.queries_fully_served);
-  EXPECT_EQ(a.queries_timed_out, b.queries_timed_out);
-  EXPECT_EQ(a.provider_joins, b.provider_joins);
-  EXPECT_EQ(a.provider_offline_events, b.provider_offline_events);
-  EXPECT_EQ(a.provider_departures, b.provider_departures);
-  EXPECT_EQ(a.messages_sent, b.messages_sent);
+  const metrics::RunSummary& s = result.summary;
+  EXPECT_EQ(s.queries_submitted, 462);
+  EXPECT_EQ(s.queries_finalized, 462);
+  EXPECT_EQ(s.queries_fully_served, 359);
+  EXPECT_EQ(s.queries_timed_out, 0);
+  EXPECT_EQ(s.provider_joins, 30);
+  EXPECT_EQ(s.provider_offline_events, 1269);
+  EXPECT_EQ(s.provider_departures, 36);
+  EXPECT_EQ(s.messages_sent, 3123);
   // Bit-identical accumulation, not just statistical agreement.
-  EXPECT_EQ(std::bit_cast<uint64_t>(a.consumer_satisfaction),
-            std::bit_cast<uint64_t>(b.consumer_satisfaction));
-  EXPECT_EQ(std::bit_cast<uint64_t>(a.provider_satisfaction),
-            std::bit_cast<uint64_t>(b.provider_satisfaction));
-  EXPECT_EQ(std::bit_cast<uint64_t>(a.mean_response_time),
-            std::bit_cast<uint64_t>(b.mean_response_time));
-  EXPECT_GT(b.provider_joins, 0);
-  EXPECT_GT(b.provider_offline_events, 0);
+  EXPECT_EQ(std::bit_cast<uint64_t>(s.consumer_satisfaction),
+            0x3fe2aa846b16a9f4ull);
+  EXPECT_EQ(std::bit_cast<uint64_t>(s.provider_satisfaction),
+            0x3fe486f13ca1abfbull);
+  EXPECT_EQ(std::bit_cast<uint64_t>(s.mean_response_time),
+            0x40167b3444d1cca5ull);
 }
 
 // --- In-flight slot audit under epoch-applied departures/churn --------------
