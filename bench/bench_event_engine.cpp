@@ -301,7 +301,7 @@ AllocRow MeasureQueryAllocations(size_t providers) {
   model::ReputationRegistry reputation(registry.provider_count());
   core::SbqaParams sbqa_params;
   sbqa_params.knbest = core::KnBestParams{20, 8};
-  core::Mediator mediator(&simulation, &registry, &reputation,
+  core::Mediator mediator(&simulation.runtime(), &registry, &reputation,
                           std::make_unique<core::SbqaMethod>(sbqa_params),
                           core::MediatorConfig{});
 

@@ -249,7 +249,7 @@ AllocAudit MeasureForwardAllocations() {
   std::vector<core::Mediator*> mediator_ptrs;
   for (uint32_t s = 0; s < shard_count; ++s) {
     mediators.push_back(std::make_unique<core::Mediator>(
-        &shards.shard(s), &registry, &reputation,
+        &shards.shard(s).runtime(), &registry, &reputation,
         std::make_unique<core::SbqaMethod>(sbqa_params),
         core::MediatorConfig{}));
     mediator_ptrs.push_back(mediators.back().get());

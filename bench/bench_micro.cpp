@@ -117,7 +117,7 @@ void BM_FullMediationDecision(benchmark::State& state) {
   model::ReputationRegistry reputation(registry.provider_count());
   core::MediatorConfig mediator_config;
   mediator_config.simulate_network = false;
-  core::Mediator mediator(&simulation, &registry, &reputation,
+  core::Mediator mediator(&simulation.runtime(), &registry, &reputation,
                           std::make_unique<core::SbqaMethod>(
                               core::SbqaParams{}),
                           mediator_config);

@@ -74,7 +74,7 @@ struct AllocationFixture {
     config.simulate_network = false;
     config.scoring_kernel = sbqa_params.scoring_kernel;
     mediator = std::make_unique<core::Mediator>(
-        &simulation, &registry, reputation.get(),
+        &simulation.runtime(), &registry, reputation.get(),
         std::make_unique<core::SbqaMethod>(sbqa_params), config);
     method = std::make_unique<core::SbqaMethod>(sbqa_params);
   }

@@ -77,7 +77,7 @@ int main() {
   }
 
   model::ReputationRegistry reputation(registry.provider_count());
-  core::Mediator mediator(&simulation, &registry, &reputation,
+  core::Mediator mediator(&simulation.runtime(), &registry, &reputation,
                           std::make_unique<core::SbqaMethod>([] {
                             core::SbqaParams params;
                             params.knbest = core::KnBestParams{12, 6};

@@ -1,10 +1,11 @@
 /// \file
 /// sbqa_serve — the identical SbQA mediation pipeline serving live
 /// wall-clock traffic: a driver thread submits queries through the
-/// sbqa::Engine facade against rt::WallClockRuntime (steady-clock time,
-/// timer wheel, one service thread), outcomes come back through per-query
-/// callbacks, and the steady-state Submit path performs zero heap
-/// allocations per query (measured live by the counting allocator).
+/// sbqa::Engine facade, which serves them on rt::WallClockShardSet
+/// (steady-clock time, one worker thread and runtime per shard, barrier
+/// windows), outcomes come back through per-query callbacks, and the
+/// steady-state Submit path performs zero heap allocations per query
+/// (measured live by the counting allocator).
 ///
 ///   sbqa_serve [--queries=N] [--rate=Q_PER_S] [--providers=N]
 ///              [--shards=N] [--method=NAME] [--seed=N]
@@ -26,13 +27,13 @@
 /// once that many queries are in flight. The tail of the report breaks
 /// every outcome down by the terminal taxonomy.
 ///
-/// --shards=N serves on the thread-per-shard backend (one worker per
-/// shard, barrier-connected); while traffic flows the driver prints a
-/// live per-shard stats line — queries/s, pending, shed and cross-shard
-/// borrow counts — read at a quiescent barrier via Engine::ShardStats().
+/// --shards=N sets the number of shards (one worker each, default 1);
+/// while traffic flows the driver prints a live per-shard stats line —
+/// queries/s, pending, shed and cross-shard borrow counts — read at a
+/// quiescent barrier via Engine::ShardStats().
 ///
 /// A shard whose candidate pool is dry for a class borrows through a chain
-/// of shards (sharded only): --federation-hops=N lets the chain forward
+/// of shards (two or more shards): --federation-hops=N lets the chain forward
 /// mediator-to-mediator up to N hops (default one hop, to the
 /// least-loaded donor), and --federation-topology / --federation-degree
 /// pick the peer graph (default: full mesh).
@@ -216,7 +217,7 @@ int main(int argc, char** argv) {
   std::atomic<long> delivered{0};
   std::atomic<long> served{0};
   // Terminal taxonomy, counted from the per-query callbacks (shed ones run
-  // synchronously on the driver thread, the rest on the service thread).
+  // synchronously on the driver thread, the rest on the shard workers).
   std::atomic<long> satisfied{0};
   std::atomic<long> retried{0};
   std::atomic<long> timed_out{0};
@@ -260,11 +261,10 @@ int main(int argc, char** argv) {
   request.n_results = 2;
   request.cost = 0.0005;  // ~0.5 ms of work on a capacity-1 provider
 
-  // Live per-shard stats line, ~1/s while traffic flows (sharded runs
-  // only): ShardStats() reads every shard at a quiescent barrier, so the
-  // rows are a consistent cross-shard cut even mid-traffic.
-  std::vector<long long> last_finalized(
-      flags.shards > 1 ? static_cast<size_t>(flags.shards) : 0, 0);
+  // Live per-shard stats line, ~1/s while traffic flows: ShardStats()
+  // reads every shard at a quiescent barrier, so the rows are a consistent
+  // cross-shard cut even mid-traffic.
+  std::vector<long long> last_finalized(static_cast<size_t>(flags.shards), 0);
   auto last_stats = std::chrono::steady_clock::now();
   const auto print_shard_stats = [&](double dt) {
     const std::vector<EngineShardStats> rows = engine.ShardStats();
@@ -300,7 +300,7 @@ int main(int argc, char** argv) {
       engine.Submit(request, OutcomeCallback(callback));
     }
     std::this_thread::sleep_for(burst_gap);
-    if (flags.shards > 1 && !flags.json) {
+    if (!flags.json) {
       const auto now = std::chrono::steady_clock::now();
       const double dt =
           std::chrono::duration<double>(now - last_stats).count();

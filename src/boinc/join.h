@@ -29,10 +29,6 @@
 #include "runtime/runtime.h"
 #include "workload/churn.h"
 
-namespace sbqa::sim {
-class Simulation;
-}  // namespace sbqa::sim
-
 namespace sbqa::boinc {
 
 /// Arrival process of new volunteers.
@@ -52,15 +48,6 @@ class VolunteerJoinProcess {
   /// ids the newcomers form preferences about. All pointers must outlive
   /// the process. Runs on `runtime`'s executor.
   VolunteerJoinProcess(rt::Runtime* runtime, core::Mediator* mediator,
-                       model::ReputationRegistry* reputation,
-                       const BoincSpec& spec,
-                       std::vector<model::ConsumerId> projects,
-                       const VolunteerJoinParams& params,
-                       const workload::ChurnParams& churn = {});
-
-  /// Convenience: runs on `sim`'s owned SimRuntime adapter (defined in
-  /// sim/sim_runtime.cc so this layer stays free of sim/ includes).
-  VolunteerJoinProcess(sim::Simulation* sim, core::Mediator* mediator,
                        model::ReputationRegistry* reputation,
                        const BoincSpec& spec,
                        std::vector<model::ConsumerId> projects,

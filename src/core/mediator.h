@@ -48,10 +48,6 @@
 #include "util/slot_pool.h"
 #include "util/stats.h"
 
-namespace sbqa::sim {
-class Simulation;
-}  // namespace sbqa::sim
-
 namespace sbqa::federation {
 class Federation;
 }  // namespace sbqa::federation
@@ -157,14 +153,6 @@ class Mediator {
   /// its RNG stream and registers its inbox at construction, and every
   /// event it schedules runs there.
   Mediator(rt::Runtime* runtime, Registry* registry,
-           model::ReputationRegistry* reputation,
-           std::unique_ptr<AllocationMethod> method,
-           const MediatorConfig& config = {});
-
-  /// Convenience: runs on `sim`'s owned SimRuntime adapter — bit-identical
-  /// to the historical Simulation-coupled mediator. Defined in
-  /// sim/sim_runtime.cc so core translation units stay sim-free.
-  Mediator(sim::Simulation* sim, Registry* registry,
            model::ReputationRegistry* reputation,
            std::unique_ptr<AllocationMethod> method,
            const MediatorConfig& config = {});

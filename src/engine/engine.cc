@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -24,13 +23,10 @@ namespace sbqa {
 
 namespace {
 
-/// Clock step of WaitIdle on the single-runtime manual clock (seconds).
-constexpr double kManualIdleStep = 0.001;
-
-/// Epoch applier of the sharded engine: routes each membership op applied
-/// by Registry::AdvanceEpoch to the owning shard's mediator and grows the
-/// reputation registry for joins. Runs on the barrier leader with every
-/// shard worker parked.
+/// Epoch applier of the wall-clock engine: routes each membership op
+/// applied by Registry::AdvanceEpoch to the owning shard's mediator and
+/// grows the reputation registry for joins. Runs on the barrier leader
+/// with every shard worker parked.
 class EngineMembership final : public core::MembershipApplier {
  public:
   EngineMembership(core::Registry* registry,
@@ -110,34 +106,31 @@ void MergeMediatorStats(core::MediatorStats* into,
 struct Engine::Impl final : core::MediationObserver {
   EngineOptions options;
 
-  /// Exactly one of these backs `runtime` (shard_set: runtime == shard 0).
+  /// Exactly one of these is the backend: the simulation (kSimulated) or
+  /// the shard set (kWallClock, whatever the shard count). `runtime` is
+  /// the simulation's runtime or shard 0's.
   std::unique_ptr<sim::Simulation> sim;
-  std::unique_ptr<rt::WallClockRuntime> wall;
   std::unique_ptr<rt::WallClockShardSet> shard_set;
-  /// When options.fault_plan is enabled, wraps the backing runtime and
-  /// becomes `runtime` — the mediation stack sees faults; the facade's own
-  /// control paths (Submit posts, probes) go through exempt delegation.
-  /// Sharded engines get one injector per shard instead, with per-shard
-  /// derived fault streams.
-  std::unique_ptr<rt::FaultInjector> fault;
-  std::vector<std::unique_ptr<rt::FaultInjector>> shard_faults;
   rt::Runtime* runtime = nullptr;
+  /// When options.fault_plan is enabled, one injector per shard wraps that
+  /// shard's runtime under its mediator, injector s with fault stream
+  /// StreamSeed(plan.seed, s) (stream 0 is the root seed). The facade's own
+  /// Submit posts bypass them.
+  std::vector<std::unique_ptr<rt::FaultInjector>> faults;
 
   core::Registry registry;
   std::unique_ptr<model::ReputationRegistry> reputation;
-  /// Single-runtime engine's mediator (null when sharded)...
-  std::unique_ptr<core::Mediator> mediator;
-  /// ...or one mediator partition per shard (empty when unsharded).
+  /// One mediator per shard (the simulation has one).
   std::vector<std::unique_ptr<core::Mediator>> mediators;
   std::vector<core::Mediator*> mediator_ptrs;
   core::ShardDirectory directory;
-  /// Borrow routing planes (sharded engines only; see
+  /// Borrow routing planes (more than one shard only; see
   /// src/federation/README.md).
   federation::Federation federation;
   std::unique_ptr<EngineMembership> membership;
-  /// Serializes Start/Stop against Stats/Snapshot: a probe posted to the
-  /// executor is only awaited while this lock keeps Stop from joining the
-  /// service thread underneath it, and started/stopped reads are
+  /// Serializes Start/Stop against Stats/Snapshot: a control op posted to
+  /// the barrier is only awaited while this lock keeps Stop from joining
+  /// the shard workers underneath it, and started/stopped reads are
   /// race-free under it.
   mutable std::mutex lifecycle_mu;
   bool started = false;
@@ -154,25 +147,14 @@ struct Engine::Impl final : core::MediationObserver {
   /// Queries rejected at admission (max_pending / bounded submit queue).
   std::atomic<int64_t> queries_shed{0};
 
-  /// Whether a service thread owns the executor (then cross-thread reads
-  /// of mediator state must hop through RunOnExecutor, or RunAtBarrier in
-  /// sharded mode).
-  bool threaded() const {
-    return options.mode == EngineMode::kWallClock &&
-           !options.wallclock.manual_clock && started && !stopped;
-  }
-  bool sharded() const { return shard_set != nullptr; }
-
-  /// Runs `fn` at a quiescent point of the engine: inline before Start,
-  /// at a barrier (workers parked) in sharded mode, on the executor in
-  /// threaded single-runtime mode, directly otherwise (sim / manual clock:
-  /// the caller IS the executor context). Blocks until `fn` ran.
+  /// Runs `fn` at a quiescent point of the engine and blocks until it
+  /// ran: at a barrier (workers parked) once the shard set started, inline
+  /// otherwise (before Start, and in kSimulated mode, where the caller IS
+  /// the executor context).
   template <typename Fn>
   void RunQuiescent(Fn&& fn) {
-    if (started && sharded()) {
+    if (started && shard_set != nullptr) {
       shard_set->RunAtBarrier(fn);
-    } else if (threaded()) {
-      RunOnExecutor(fn);
     } else {
       fn();
     }
@@ -251,35 +233,11 @@ struct Engine::Impl final : core::MediationObserver {
     tickets_live.fetch_sub(1, std::memory_order_release);
   }
 
-  /// Runs `fn` on the executor and blocks until it finished (threaded
-  /// mode's safe window into mediator/registry state).
-  template <typename Fn>
-  void RunOnExecutor(Fn&& fn) {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    runtime->Post([&] {
-      fn();
-      // Notify while holding the lock: the waiter owns cv's storage and
-      // may destroy it the moment it can re-acquire the mutex.
-      std::lock_guard<std::mutex> lock(mu);
-      done = true;
-      cv.notify_one();
-    });
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done; });
-  }
-
   EngineStats GatherStats() const {
-    core::MediatorStats merged;
-    if (!mediators.empty()) {
-      for (const std::unique_ptr<core::Mediator>& m : mediators) {
-        MergeMediatorStats(&merged, m->stats());
-      }
-    } else {
-      merged = mediator->stats();
+    core::MediatorStats s;
+    for (const std::unique_ptr<core::Mediator>& m : mediators) {
+      MergeMediatorStats(&s, m->stats());
     }
-    const core::MediatorStats& s = merged;
     EngineStats out;
     out.queries_submitted = s.queries_submitted;
     out.queries_finalized = s.queries_finalized;
@@ -297,13 +255,7 @@ struct Engine::Impl final : core::MediationObserver {
     out.retry_attempts = s.retry_attempts;
     out.providers_suspected = s.providers_suspected;
     out.providers_probed = s.providers_probed;
-    if (fault != nullptr) {
-      const rt::FaultStats& f = fault->stats();
-      out.fault_sends_dropped = f.sends_dropped;
-      out.fault_sends_delayed = f.sends_delayed;
-      out.fault_sends_crashed = f.sends_crashed;
-    }
-    for (const std::unique_ptr<rt::FaultInjector>& injector : shard_faults) {
+    for (const std::unique_ptr<rt::FaultInjector>& injector : faults) {
       const rt::FaultStats& f = injector->stats();
       out.fault_sends_dropped += f.sends_dropped;
       out.fault_sends_delayed += f.sends_delayed;
@@ -392,21 +344,15 @@ Engine::Engine(EngineOptions options) : impl_(std::make_unique<Impl>()) {
     config.latency_floor = opts.latency_floor;
     impl_->sim = std::make_unique<sim::Simulation>(config);
     impl_->runtime = &impl_->sim->runtime();
-  } else if (opts.shards > 1) {
+  } else {
     rt::WallClockShardOptions config;
     config.shard_count = opts.shards;
     config.seed = opts.seed;
     config.barrier_tick = opts.shard_barrier_tick;
     config.outbox_fill_threshold = opts.shard_outbox_fill;
     config.runtime = opts.wallclock;
-    config.manual_clock = opts.wallclock.manual_clock;
     impl_->shard_set = std::make_unique<rt::WallClockShardSet>(config);
     impl_->runtime = &impl_->shard_set->runtime(0);
-  } else {
-    rt::WallClockOptions config = opts.wallclock;
-    config.seed = opts.seed;
-    impl_->wall = std::make_unique<rt::WallClockRuntime>(config);
-    impl_->runtime = impl_->wall.get();
   }
 }
 
@@ -418,14 +364,15 @@ model::ProviderId Engine::AddProvider(const ProviderOptions& options) {
   if (!impl.started) return impl.registry.AddProvider(options);
   SBQA_CHECK(!impl.stopped);
   model::ProviderId id = model::kInvalidId;
-  if (impl.sharded()) {
+  if (impl.shard_set != nullptr) {
     // Post-Start joins go through the registry's epoch join log, exactly
     // like the sharded simulation's volunteer arrivals: the join is queued
     // and the epoch advanced at a barrier with every worker parked, the
     // owner shard falls out of the deterministic join hash, and the epoch
-    // applier grows the reputation registry. Applying the epoch inside the
-    // barrier (instead of waiting for the next membership phase) is what
-    // lets the caller get the dense id back synchronously.
+    // applier grows the reputation registry and the mediators' provider
+    // tables. Applying the epoch inside the barrier (instead of waiting
+    // for the next membership phase) is what lets the caller get the
+    // dense id back synchronously.
     impl.shard_set->RunAtBarrier([&] {
       impl.registry.QueueJoin(0, [&](core::Registry* registry) {
         id = registry->AddProvider(options);
@@ -434,10 +381,9 @@ model::ProviderId Engine::AddProvider(const ProviderOptions& options) {
       impl.registry.AdvanceEpoch(impl.membership.get());
     });
   } else {
-    impl.RunQuiescent([&] {
-      id = impl.registry.AddProvider(options);
-      impl.reputation->GrowTo(impl.registry.provider_count());
-    });
+    // kSimulated: the caller is the executor context.
+    id = impl.registry.AddProvider(options);
+    impl.reputation->GrowTo(impl.registry.provider_count());
   }
   return id;
 }
@@ -448,8 +394,8 @@ model::ConsumerId Engine::AddConsumer(const ConsumerOptions& options) {
   if (!impl.started) return impl.registry.AddConsumer(options);
   SBQA_CHECK(!impl.stopped);
   model::ConsumerId id = model::kInvalidId;
-  // Consumers carry no cross-shard mediation state, so a barrier (or the
-  // executor) is a sufficient quiescent point — no epoch op needed.
+  // Consumers carry no cross-shard mediation state, so a barrier is a
+  // sufficient quiescent point — no epoch op needed.
   impl.RunQuiescent([&] { id = impl.registry.AddConsumer(options); });
   return id;
 }
@@ -481,18 +427,10 @@ void Engine::Start() {
   SBQA_CHECK_GT(impl.registry.provider_count(), 0u);
   SBQA_CHECK_GT(impl.registry.consumer_count(), 0u);
 
-  // One allocation-method instance per mediator: a custom instance cannot
-  // be replicated, so it requires the single-mediator configuration.
-  std::unique_ptr<core::AllocationMethod> method =
-      std::move(impl.options.custom_method);
+  // One allocation-method instance per mediator, built from the method's
+  // registry name, with one master switch for the run's scoring kernel.
   experiments::MethodSpec spec;
-  if (method == nullptr) {
-    SBQA_CHECK(experiments::MethodSpecFromName(impl.options.method, &spec));
-  } else {
-    SBQA_CHECK(impl.shard_set == nullptr);
-  }
-  // One master switch for the run's scoring kernel (a custom_method keeps
-  // its own configuration).
+  SBQA_CHECK(experiments::MethodSpecFromName(impl.options.method, &spec));
   spec.sbqa.scoring_kernel = impl.options.scoring_kernel;
   spec.sbqa.decision_timing = impl.options.decision_timing;
 
@@ -514,63 +452,56 @@ void Engine::Start() {
   config.probe_delay = impl.options.probe_delay;
   config.scoring_kernel = impl.options.scoring_kernel;
 
-  if (impl.shard_set != nullptr) {
-    // Thread-per-shard wiring: partition the registry, build one mediator
-    // (optionally behind a per-shard fault injector whose streams derive
-    // from (fault_plan.seed, shard)) on each shard's runtime, and wire the
-    // barrier phases — epoch membership application, then the cross-shard
-    // directory refresh. This mirrors the sharded simulation runner.
-    const uint32_t n = impl.shard_set->shard_count();
-    impl.registry.SetShardCount(n);
-    impl.mediators.reserve(n);
-    impl.mediator_ptrs.reserve(n);
-    for (uint32_t s = 0; s < n; ++s) {
-      rt::Runtime* shard_rt = &impl.shard_set->runtime(s);
-      if (impl.options.fault_plan.enabled()) {
-        rt::FaultPlan plan = impl.options.fault_plan;
-        plan.seed = util::Rng::StreamSeed(plan.seed, s);
-        impl.shard_faults.push_back(
-            std::make_unique<rt::FaultInjector>(shard_rt, plan));
-        shard_rt = impl.shard_faults.back().get();
-      }
-      impl.mediators.push_back(std::make_unique<core::Mediator>(
-          shard_rt, &impl.registry, impl.reputation.get(),
-          experiments::MakeMethod(spec), config));
-      impl.mediators.back()->AddObserver(&impl);
-      impl.mediator_ptrs.push_back(impl.mediators.back().get());
+  // One mediator per shard (the simulation is one shard), each optionally
+  // behind a fault injector whose streams derive from (fault_plan.seed,
+  // shard); the injector sits under the mediator before it registers any
+  // destination, so its whole runtime view (sends, latency samples) goes
+  // through it.
+  const uint32_t n =
+      impl.shard_set != nullptr ? impl.shard_set->shard_count() : 1;
+  impl.mediators.reserve(n);
+  impl.mediator_ptrs.reserve(n);
+  for (uint32_t s = 0; s < n; ++s) {
+    rt::Runtime* shard_rt = impl.shard_set != nullptr
+                                ? &impl.shard_set->runtime(s)
+                                : impl.runtime;
+    if (impl.options.fault_plan.enabled()) {
+      rt::FaultPlan plan = impl.options.fault_plan;
+      plan.seed = util::Rng::StreamSeed(plan.seed, s);
+      impl.faults.push_back(
+          std::make_unique<rt::FaultInjector>(shard_rt, plan));
+      shard_rt = impl.faults.back().get();
     }
-    // The federation is the one cross-shard path (the default config
-    // borrows one hop over the full mesh).
+    impl.mediators.push_back(std::make_unique<core::Mediator>(
+        shard_rt, &impl.registry, impl.reputation.get(),
+        experiments::MakeMethod(spec), config));
+    impl.mediators.back()->AddObserver(&impl);
+    impl.mediator_ptrs.push_back(impl.mediators.back().get());
+  }
+  Impl* im = &impl;
+  if (n > 1) {
+    // Partition the registry and wire the one cross-shard path: the
+    // federation (the default config borrows one hop over the full mesh),
+    // scored from the directory the barrier hook refreshes.
+    impl.registry.SetShardCount(n);
     impl.federation.Build(impl.options.federation, n, &impl.directory);
     for (uint32_t s = 0; s < n; ++s) {
       impl.mediators[s]->ConfigureSharding(impl.shard_set.get(), s,
                                            &impl.federation,
                                            impl.mediator_ptrs);
     }
-    impl.membership = std::make_unique<EngineMembership>(
-        &impl.registry, impl.mediator_ptrs, impl.reputation.get());
-    Impl* im = &impl;
-    impl.shard_set->SetMembershipHook([im](rt::Time) {
-      im->registry.AdvanceEpoch(im->membership.get());
-    });
     impl.shard_set->AddBarrierHook([im](rt::Time) {
       im->directory.RefreshIfChanged(im->registry);
     });
     impl.directory.Refresh(impl.registry);
-  } else {
-    // Interpose the fault plane before any destination is registered so
-    // the mediator's whole runtime view (sends, latency samples) goes
-    // through it.
-    if (impl.options.fault_plan.enabled()) {
-      impl.fault = std::make_unique<rt::FaultInjector>(
-          impl.runtime, impl.options.fault_plan);
-      impl.runtime = impl.fault.get();
-    }
-    if (method == nullptr) method = experiments::MakeMethod(spec);
-    impl.mediator = std::make_unique<core::Mediator>(
-        impl.runtime, &impl.registry, impl.reputation.get(),
-        std::move(method), config);
-    impl.mediator->AddObserver(&impl);
+  }
+  if (impl.shard_set != nullptr) {
+    // Epoch membership application at every barrier (post-Start joins).
+    impl.membership = std::make_unique<EngineMembership>(
+        &impl.registry, impl.mediator_ptrs, impl.reputation.get());
+    impl.shard_set->SetMembershipHook([im](rt::Time) {
+      im->registry.AdvanceEpoch(im->membership.get());
+    });
   }
 
   // Provision every per-in-flight pool to the admission cap: max_pending
@@ -582,18 +513,15 @@ void Engine::Start() {
   if (impl.options.max_pending > 0) {
     const size_t cap = static_cast<size_t>(impl.options.max_pending);
     impl.tickets.Provision(cap);
-    if (impl.mediator != nullptr) impl.mediator->ProvisionInflight(cap);
     for (core::Mediator* m : impl.mediator_ptrs) m->ProvisionInflight(cap);
   }
 
   impl.started = true;
-  if (impl.wall != nullptr) impl.wall->Start();
   if (impl.shard_set != nullptr) impl.shard_set->Start();
 }
 
 void Engine::Stop() {
   std::lock_guard<std::mutex> lifecycle(impl_->lifecycle_mu);
-  if (impl_->wall != nullptr) impl_->wall->Stop();
   if (impl_->shard_set != nullptr) impl_->shard_set->Stop();
   impl_->stopped = true;
 }
@@ -619,29 +547,18 @@ uint64_t Engine::Submit(const QueryRequest& request,
   query.cost = request.cost;
   query.deadline = request.deadline > 0 ? request.deadline
                                         : impl.options.default_deadline;
-  if (impl.sharded()) {
-    // Hash-route to the consumer's owner shard; its worker mediates the
-    // query (or borrows cross-shard when its own pool is dry).
-    const uint32_t shard = impl.registry.ConsumerShard(request.consumer);
-    core::Mediator* mediator = impl.mediator_ptrs[shard];
-    util::EventFn task([mediator, query] { mediator->SubmitQuery(query); });
-    if (!impl.shard_set->runtime(shard).TryPost(std::move(task))) {
-      impl.ShedQuery(impl.ReclaimTicket(ticket));
-      return 0;
-    }
-    return ticket;
-  }
-  core::Mediator* mediator = impl.mediator.get();
+  // Hash-route to the consumer's owner shard; its executor mediates the
+  // query (or borrows cross-shard when its own pool is dry).
+  const uint32_t shard = impl.registry.ConsumerShard(request.consumer);
+  core::Mediator* mediator = impl.mediator_ptrs[shard];
   util::EventFn task([mediator, query] { mediator->SubmitQuery(query); });
-  if (impl.wall != nullptr) {
-    if (!impl.wall->TryPost(std::move(task))) {
-      // The bounded submit queue is full: the executor never saw the
-      // query, so reclaim its ticket and shed at the door.
-      impl.ShedQuery(impl.ReclaimTicket(ticket));
-      return 0;
-    }
-  } else {
+  if (impl.shard_set == nullptr) {
     impl.runtime->Post(std::move(task));
+  } else if (!impl.shard_set->runtime(shard).TryPost(std::move(task))) {
+    // The shard's bounded submit queue is full: the executor never saw
+    // the query, so reclaim its ticket and shed at the door.
+    impl.ShedQuery(impl.ReclaimTicket(ticket));
+    return 0;
   }
   return ticket;
 }
@@ -654,11 +571,7 @@ void Engine::RunFor(double seconds) {
   if (impl.sim != nullptr) {
     impl.sim->RunFor(seconds);
   } else if (impl.options.wallclock.manual_clock) {
-    if (impl.shard_set != nullptr) {
-      impl.shard_set->RunFor(seconds);  // lock-step barrier windows
-    } else {
-      impl.wall->AdvanceTo(impl.wall->now() + seconds);
-    }
+    impl.shard_set->RunFor(seconds);  // lock-step barrier windows
   } else {
     std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
   }
@@ -669,8 +582,7 @@ bool Engine::WaitIdle(double budget_seconds) {
   SBQA_CHECK_GE(budget_seconds, 0);
   if (impl.sim != nullptr) {
     impl.sim->RunUntil(impl.sim->now() + budget_seconds);
-  } else if (impl.options.wallclock.manual_clock &&
-             impl.shard_set != nullptr) {
+  } else if (impl.options.wallclock.manual_clock) {
     // Window-by-window so the drain stops as soon as the outcomes landed
     // instead of spinning barriers through the whole budget.
     const double deadline = impl.shard_set->now() + budget_seconds;
@@ -679,16 +591,6 @@ bool Engine::WaitIdle(double budget_seconds) {
            impl.shard_set->now() < deadline) {
       impl.shard_set->RunUntil(
           std::min(deadline, impl.shard_set->now() + step));
-    }
-  } else if (impl.options.wallclock.manual_clock) {
-    // Step in small increments: a single clock jump would stamp queued
-    // submissions at the end of the window, leaving their completion
-    // timers beyond it.
-    const double deadline = impl.wall->now() + budget_seconds;
-    const double step = kManualIdleStep;
-    while (impl.tickets_live.load(std::memory_order_acquire) > 0 &&
-           impl.wall->now() < deadline) {
-      impl.wall->AdvanceTo(std::min(deadline, impl.wall->now() + step));
     }
   } else {
     const auto deadline = std::chrono::steady_clock::now() +
@@ -704,21 +606,13 @@ bool Engine::WaitIdle(double budget_seconds) {
 
 EngineStats Engine::Stats() const {
   Impl& impl = *impl_;
-  // Holding lifecycle_mu pins the service thread alive for the whole
-  // probe round trip — a concurrent Stop() cannot join it under us and
-  // leave the probe stranded in the submit queue.
+  // Holding lifecycle_mu pins the shard workers alive for the whole
+  // control-op round trip — a concurrent Stop() cannot join them under us
+  // and leave the op stranded in the control queue.
   std::lock_guard<std::mutex> lifecycle(impl.lifecycle_mu);
   SBQA_CHECK(impl.started);
   EngineStats stats;
-  if (impl.sharded()) {
-    // A barrier is the sharded engine's quiescent point (inline when the
-    // workers are not running: manual clock, or after Stop).
-    impl.shard_set->RunAtBarrier([&] { stats = impl.GatherStats(); });
-  } else if (impl.threaded()) {
-    impl.RunOnExecutor([&] { stats = impl.GatherStats(); });
-  } else {
-    stats = impl.GatherStats();
-  }
+  impl.RunQuiescent([&] { stats = impl.GatherStats(); });
   return stats;
 }
 
@@ -727,7 +621,7 @@ std::vector<EngineShardStats> Engine::ShardStats() const {
   std::lock_guard<std::mutex> lifecycle(impl.lifecycle_mu);
   SBQA_CHECK(impl.started);
   std::vector<EngineShardStats> rows;
-  if (!impl.sharded()) return rows;
+  if (impl.shard_set == nullptr) return rows;
   impl.shard_set->RunAtBarrier([&] { rows = impl.GatherShardStats(); });
   return rows;
 }
@@ -738,12 +632,10 @@ std::string Engine::ScoringKernelName() const {
   if (!impl.started) return "";
   // The kernel kind is immutable after Start, so no quiescent point needed.
   std::string name;
-  auto record = [&name](core::Mediator* m) {
+  for (core::Mediator* m : impl.mediator_ptrs) {
     auto* sbqa = dynamic_cast<core::SbqaMethod*>(&m->method());
     if (sbqa != nullptr) name = core::ToString(sbqa->kernel().kind());
-  };
-  if (impl.mediator != nullptr) record(impl.mediator.get());
-  for (core::Mediator* m : impl.mediator_ptrs) record(m);
+  }
   return name;
 }
 
@@ -752,21 +644,12 @@ core::ScoreKernelPhases Engine::DecisionPhases() const {
   std::lock_guard<std::mutex> lifecycle(impl.lifecycle_mu);
   core::ScoreKernelPhases phases;
   if (!impl.started) return phases;
-  auto gather = [&] {
-    auto accumulate = [&phases](core::Mediator* m) {
+  impl.RunQuiescent([&] {
+    for (core::Mediator* m : impl.mediator_ptrs) {
       auto* sbqa = dynamic_cast<core::SbqaMethod*>(&m->method());
       if (sbqa != nullptr) phases.Accumulate(sbqa->kernel().phases());
-    };
-    if (impl.mediator != nullptr) accumulate(impl.mediator.get());
-    for (core::Mediator* m : impl.mediator_ptrs) accumulate(m);
-  };
-  if (impl.sharded()) {
-    impl.shard_set->RunAtBarrier(gather);
-  } else if (impl.threaded()) {
-    impl.RunOnExecutor(gather);
-  } else {
-    gather();
-  }
+    }
+  });
   return phases;
 }
 
@@ -775,13 +658,7 @@ EngineSnapshot Engine::Snapshot() const {
   std::lock_guard<std::mutex> lifecycle(impl.lifecycle_mu);
   SBQA_CHECK(impl.started);
   EngineSnapshot snapshot;
-  if (impl.sharded()) {
-    impl.shard_set->RunAtBarrier([&] { snapshot = impl.GatherSnapshot(); });
-  } else if (impl.threaded()) {
-    impl.RunOnExecutor([&] { snapshot = impl.GatherSnapshot(); });
-  } else {
-    snapshot = impl.GatherSnapshot();
-  }
+  impl.RunQuiescent([&] { snapshot = impl.GatherSnapshot(); });
   return snapshot;
 }
 

@@ -4,13 +4,14 @@
 /// \file
 /// sbqa::Engine — the library's public embedding API. A builder-style
 /// facade over the whole mediation stack (registry, reputation, allocation
-/// method, mediator) that runs the identical pipeline in either of the two
-/// runtime-seam implementations:
+/// method, mediators) that runs the identical pipeline on either of two
+/// backends:
 ///
-///   - kSimulated: the discrete-event harness (virtual time; determinstic
+///   - kSimulated: the discrete-event harness (virtual time; deterministic
 ///     per seed, bit-identical to wiring the stack by hand);
-///   - kWallClock: live traffic on rt::WallClockRuntime (steady-clock
-///     time, one service thread, thread-safe Submit from any driver
+///   - kWallClock: live traffic on rt::WallClockShardSet, whatever the
+///     shard count (steady-clock time, one worker thread and
+///     rt::WallClockRuntime per shard, thread-safe Submit from any driver
 ///     thread, zero heap allocations per query at steady state).
 ///
 /// Usage:
@@ -36,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "core/allocation_method.h"
 #include "core/consumer.h"
 #include "core/mediation.h"
 #include "core/provider.h"
@@ -52,14 +52,14 @@ namespace sbqa {
 /// Which runtime-seam implementation the engine runs on.
 enum class EngineMode {
   kSimulated,  ///< discrete-event virtual time (deterministic per seed)
-  kWallClock,  ///< steady-clock time, one service thread, live Submit
+  kWallClock,  ///< steady-clock time, one worker per shard, live Submit
 };
 
 /// Participant configuration, re-exported from the core layer.
 using ProviderOptions = core::ProviderParams;
 using ConsumerOptions = core::ConsumerParams;
 
-/// Engine-wide configuration. Move-only when custom_method is set.
+/// Engine-wide configuration.
 struct EngineOptions {
   EngineMode mode = EngineMode::kSimulated;
 
@@ -69,17 +69,14 @@ struct EngineOptions {
   uint64_t seed = 42;
 
   /// Allocation method by registry name ("sbqa", "sqlb", "knbest",
-  /// "capacity", "qlb", "economic", "interest", "random", "roundrobin");
-  /// ignored when custom_method is set.
+  /// "capacity", "qlb", "economic", "interest", "random", "roundrobin").
+  /// Every mediator gets its own instance.
   std::string method = "sbqa";
-  /// Fully configured method instance (overrides `method`).
-  std::unique_ptr<core::AllocationMethod> custom_method;
 
   /// Decision-path scoring kernel (see core/score_kernel.h): the batched
   /// SoA planes by default, ScoreKernelKind::kExact for the bit-exact
-  /// per-candidate std::pow pipeline. Stamped into both the method (when
-  /// built from `method`; a custom_method keeps its own configuration) and
-  /// the mediators' normalization/rescore kernel.
+  /// per-candidate std::pow pipeline. Stamped into both the method and the
+  /// mediators' normalization/rescore kernel.
   core::ScoreKernelKind scoring_kernel = core::ScoreKernelKind::kBatched;
   /// Collect per-phase decision timings (sample / gather / intentions /
   /// score / rank ns); read them via Engine::DecisionPhases(). Off by
@@ -122,25 +119,24 @@ struct EngineOptions {
 
   // --- kWallClock only -------------------------------------------------------
 
-  /// Timer / service-thread tuning. `wallclock.seed` is overridden
-  /// by `seed`; `wallclock.manual_clock` turns the engine into a
-  /// caller-driven replay executor (AdvanceTo instead of a service
-  /// thread) — the deterministic-test seam.
+  /// Per-shard runtime tuning. `wallclock.seed` is overridden by `seed`;
+  /// `wallclock.manual_clock` turns the engine into a caller-driven replay
+  /// executor (no worker threads; RunFor / WaitIdle drive lock-step
+  /// barrier windows) — the deterministic-test seam.
   rt::WallClockOptions wallclock;
 
-  /// Thread-per-shard serving (kWallClock only): shards > 1 partitions the
-  /// mediation stack into that many wall-clock shards — one worker thread,
-  /// runtime and mediator partition each — exchanging traffic through the
-  /// barrier mailbox protocol (rt::WallClockShardSet). Submit hash-routes
-  /// each query to its consumer's owner shard; a shard whose candidate
-  /// pool runs dry borrows from the least-loaded peer, exactly like the
-  /// sharded simulation. shards == 1 is the classic single-runtime engine,
-  /// behaviorally identical to earlier releases. With
-  /// `wallclock.manual_clock` the shard set runs without worker threads
-  /// and RunFor drives deterministic lock-step barrier windows.
+  /// Thread-per-shard serving (kWallClock only): the mediation stack runs
+  /// on rt::WallClockShardSet as `shards` wall-clock shards — one worker
+  /// thread, runtime and mediator partition each — exchanging traffic
+  /// through the barrier mailbox protocol. Submit hash-routes each query
+  /// to its consumer's owner shard; with more than one shard, a shard
+  /// whose candidate pool runs dry borrows from the least-loaded peer,
+  /// exactly like the sharded simulation. One shard is one worker and one
+  /// mediator, still cut into barrier windows (control ops and post-Start
+  /// membership are applied at barriers).
   uint32_t shards = 1;
-  /// Barrier window width in seconds (sharded only): cross-shard hops and
-  /// control-plane ops (Stats, post-Start membership) pay at most one
+  /// Barrier window width in seconds (kWallClock only): cross-shard hops
+  /// and control-plane ops (Stats, post-Start membership) pay at most one
   /// window of extra latency; every window costs one all-shard rendezvous.
   double shard_barrier_tick = 0.002;
   /// Outbox fill count at which a shard pulls the barrier early instead of
@@ -198,7 +194,7 @@ struct QueryResult {
 
 /// Per-query outcome callback. Move-only with inline storage: a small
 /// capture keeps the wall-clock Submit path allocation-free. Runs on the
-/// engine's executor (the service thread in kWallClock mode) — return
+/// engine's executor (a shard's worker thread in kWallClock mode) — return
 /// quickly and do not call back into the engine from it, except Submit.
 using OutcomeCallback = util::InlineFn<void(const QueryResult&)>;
 
@@ -228,7 +224,8 @@ struct EngineStats {
   int64_t fault_sends_dropped = 0;
   int64_t fault_sends_delayed = 0;
   int64_t fault_sends_crashed = 0;
-  // Sharded serving (all zero when shards == 1).
+  // Cross-shard borrowing (zero with one shard) and barrier counts (zero
+  // in kSimulated mode).
   int64_t queries_delegated = 0;    ///< cross-shard borrows forwarded
   int64_t queries_borrowed = 0;     ///< queries mediated for a peer shard
   /// Mid-chain borrow relays (0 unless federation.hop_budget > 1).
@@ -239,7 +236,7 @@ struct EngineStats {
   double mean_satisfaction = 0;     ///< mean per-query Equation 1
 };
 
-/// One shard's live counters (sharded kWallClock engines only; see
+/// One shard's live counters (kWallClock engines only; see
 /// Engine::ShardStats). Read at a barrier, so the rows are a consistent
 /// cross-shard cut.
 struct EngineShardStats {
@@ -273,7 +270,7 @@ struct ConsumerSnapshot {
 };
 
 /// Participant-level state of a running engine, read at a quiescent point
-/// (the executor context).
+/// (a barrier in kWallClock mode).
 struct EngineSnapshot {
   double now = 0;  ///< runtime seconds at snapshot time
   std::vector<ProviderSnapshot> providers;
@@ -287,7 +284,7 @@ struct EngineSnapshot {
 /// safe from any driver thread once Start() ran (population building is
 /// not — finish it before Start). In kSimulated and manual-clock modes the
 /// engine is single-threaded and the caller drives time with RunFor /
-/// AdvanceTo / WaitIdle.
+/// WaitIdle.
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
@@ -300,12 +297,13 @@ class Engine {
   //
   // Before Start() these mutate the registry directly. AFTER Start() they
   // remain valid from any driver thread: the mutation is applied at a
-  // quiescent point of the running engine — through the registry's epoch
-  // JOIN LOG at the next barrier in sharded mode (every worker parked, the
-  // owner shard assigned by the deterministic join hash), or on the
-  // executor in single-runtime mode — and the call blocks until it took
-  // effect. In-flight queries are unaffected. Do not call from an outcome
-  // callback (executor context): the quiescent point would wait on itself.
+  // quiescent point of the running engine — at the next barrier in
+  // kWallClock mode (every worker parked; providers join through the
+  // registry's epoch JOIN LOG, the owner shard assigned by the
+  // deterministic join hash), inline in kSimulated mode — and the call
+  // blocks until it took effect. In-flight queries are unaffected. Do not
+  // call from an outcome callback (executor context): the quiescent point
+  // would wait on itself.
 
   model::ProviderId AddProvider(const ProviderOptions& options);
   model::ConsumerId AddConsumer(const ConsumerOptions& options);
@@ -315,11 +313,11 @@ class Engine {
   void SetProviderPreference(model::ProviderId provider,
                              model::ConsumerId consumer, double preference);
 
-  /// Wires reputation + mediator over the built population and (in
-  /// kWallClock mode) launches the service thread.
+  /// Wires reputation + mediators over the built population and (in
+  /// kWallClock mode) launches the shard workers.
   void Start();
 
-  /// Stops the wall-clock service thread (no-op otherwise). Queries still
+  /// Stops the wall-clock shard workers (no-op otherwise). Queries still
   /// in flight are dropped without a callback. Idempotent; the destructor
   /// calls it.
   void Stop();
@@ -355,8 +353,8 @@ class Engine {
 
   EngineStats Stats() const;
   EngineSnapshot Snapshot() const;
-  /// Per-shard counters, one consistent barrier cut (empty when the engine
-  /// is not sharded). Thread-safe like Stats.
+  /// Per-shard counters, one consistent barrier cut (empty in kSimulated
+  /// mode). Thread-safe like Stats.
   std::vector<EngineShardStats> ShardStats() const;
   /// Name of the decision-path scoring kernel ("exact" / "batched"; empty
   /// before Start or when the method is not SbQA-based).

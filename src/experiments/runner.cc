@@ -136,7 +136,8 @@ class RunnerMembership final : public core::MembershipApplier {
       // epoch, like every other membership op.
       const uint32_t owner = registry_->ProviderShard(provider);
       join_churn_.push_back(std::make_unique<workload::ChurnProcess>(
-          &shards_->shard(owner), mediators_[owner], provider, churn_));
+          &shards_->shard(owner).runtime(), mediators_[owner], provider,
+          churn_));
       join_churn_.back()->Start();
     }
   }
@@ -320,8 +321,9 @@ RunResult RunScenario(const ScenarioConfig& config) {
   }
   std::vector<std::vector<std::unique_ptr<workload::ChurnProcess>>> churn;
   for (uint32_t s = 0; s < shard_count; ++s) {
-    churn.push_back(workload::StartChurn(&shards.shard(s), gateways[s],
-                                         churn_slices[s], config.churn));
+    churn.push_back(workload::StartChurn(&shards.shard(s).runtime(),
+                                         gateways[s], churn_slices[s],
+                                         config.churn));
   }
 
   // Open-system joins. One shard: a single process applying joins
@@ -340,7 +342,8 @@ RunResult RunScenario(const ScenarioConfig& config) {
                 : 0;
       }
       joins.push_back(std::make_unique<boinc::VolunteerJoinProcess>(
-          &shards.shard(s), gateways[s], &reputation, config.population,
+          &shards.shard(s).runtime(), gateways[s], &reputation,
+          config.population,
           population.projects, join_params, config.churn));
       joins.back()->Start();
     }

@@ -85,7 +85,7 @@ bool FaultInjector::DestinationDown(Destination destination, Time now) {
 }
 
 void FaultInjector::SendTo(Destination destination, TaskFn fn) {
-  if (destination < plan_.exempt_destinations || !plan_.enabled()) {
+  if (destination == exempt_ || !plan_.enabled()) {
     inner_->SendTo(destination, std::move(fn));
     return;
   }

@@ -18,15 +18,17 @@
 /// stream per destination, so whether destination 7 is down at time t is a
 /// pure function of (plan.seed, 7, t).
 ///
-/// Placement: the injector targets the DATA plane. Destinations below
-/// `exempt_destinations` are never faulted — the mediator registers its own
-/// inbox first (destination 0), and that inbox carries query submissions
-/// and result fan-in, which must stay lossless for every query to reach a
-/// terminal outcome. Provider-bound dispatches (destinations >= 1) are the
-/// faultable surface: a dropped dispatch IS a failed provider response (the
-/// instance never arrives, the attempt times out), a delayed one is a
-/// stalled response, and a crash window is a provider failure spell that
-/// the mediator's health detector can observe. See src/runtime/README.md.
+/// Placement: the injector targets the DATA plane. The first destination
+/// registered through it is never faulted: one injector wraps one
+/// mediator, which registers its own inbox first, and that inbox carries
+/// query submissions and result fan-in (always sent through the same
+/// mediator's runtime), which must stay lossless for every query to reach
+/// a terminal outcome. Provider-bound dispatches (every later destination)
+/// are the faultable surface: a dropped dispatch IS a failed provider
+/// response (the instance never arrives, the attempt times out), a delayed
+/// one is a stalled response, and a crash window is a provider failure
+/// spell that the mediator's health detector can observe. See
+/// src/runtime/README.md.
 
 #include <cstdint>
 #include <string>
@@ -65,10 +67,6 @@ struct FaultPlan {
   double crash_rate = 0;
   double mean_crash_duration = 0;
 
-  /// Destinations below this are control plane and never faulted (the
-  /// mediator inbox is destination 0; it carries submissions and results).
-  Destination exempt_destinations = 1;
-
   /// Whether any fault is configured (a disabled plan makes the injector a
   /// pure, draw-free pass-through).
   bool enabled() const {
@@ -99,10 +97,10 @@ struct FaultStats {
   int64_t latency_skews = 0;   ///< SampleLatency draws skewed
 };
 
-/// The decorator. Wrap the real runtime, hand the injector to the mediator
-/// (and anything else that should see faults); drivers that must stay
+/// The decorator. Wrap the real runtime and hand the injector to ONE
+/// mediator, before it registers its inbox; drivers that must stay
 /// lossless (workload generators, the engine submit path) keep talking to
-/// the inner runtime directly or through exempt destinations.
+/// the inner runtime directly or through the exempt inbox.
 class FaultInjector final : public Runtime {
  public:
   /// `inner` must outlive the injector. The plan is copied.
@@ -122,8 +120,12 @@ class FaultInjector final : public Runtime {
   }
   bool Cancel(TaskId id) override { return inner_->Cancel(id); }
   void Post(TaskFn fn) override { inner_->Post(std::move(fn)); }
+  /// Delegates; the first destination registered here becomes the
+  /// exempt one.
   Destination RegisterDestination() override {
-    return inner_->RegisterDestination();
+    const Destination destination = inner_->RegisterDestination();
+    if (exempt_ == kNoDestination) exempt_ = destination;
+    return destination;
   }
   void SendTo(Destination destination, TaskFn fn) override;
   double SampleLatency() override;
@@ -155,6 +157,7 @@ class FaultInjector final : public Runtime {
   /// Drop/delay draws: one stream, consumed in executor event order.
   util::Rng send_rng_;
   std::vector<CrashWindow> windows_;
+  Destination exempt_ = kNoDestination;
 };
 
 }  // namespace sbqa::rt

@@ -17,9 +17,6 @@ WallClockShardSet::WallClockShardSet(const WallClockShardOptions& options)
   for (uint32_t s = 0; s < n; ++s) {
     WallClockOptions rt_options = options_.runtime;
     rt_options.seed = util::Rng::StreamSeed(options_.seed, s);
-    // The shard worker (or the manual driver) IS the executor: the
-    // runtime must never spawn its own service thread.
-    rt_options.manual_clock = true;
     runtimes_.push_back(std::make_unique<WallClockRuntime>(rt_options));
   }
   out_.resize(n);
@@ -52,7 +49,7 @@ void WallClockShardSet::SetMembershipHook(std::function<void(Time)> hook) {
 void WallClockShardSet::Start() {
   if (started_) return;
   started_ = true;
-  if (options_.manual_clock) return;
+  if (options_.runtime.manual_clock) return;
   epoch_ = std::chrono::steady_clock::now();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -278,7 +275,7 @@ void WallClockShardSet::WorkerLoop(uint32_t s) {
 // --- Manual-mode driver ------------------------------------------------------
 
 void WallClockShardSet::RunUntil(Time t) {
-  SBQA_CHECK(workers_.empty());  // manual_clock (or pre-Start) only
+  SBQA_CHECK(workers_.empty());  // manual clock (or pre-Start) only
   const uint32_t n = shard_count();
   Time cursor = now();
   while (cursor < t) {

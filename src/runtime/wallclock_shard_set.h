@@ -2,7 +2,7 @@
 #define SBQA_RUNTIME_WALLCLOCK_SHARD_SET_H_
 
 /// \file
-/// WallClockShardSet: thread-per-shard wall-clock serving. N manual-clock
+/// WallClockShardSet: thread-per-shard wall-clock serving. N
 /// WallClockRuntimes, each driven by its own worker thread, exchange
 /// traffic through the same per-(src, dst) single-writer mailbox protocol
 /// the simulation's sim::ShardSet proved out — but the barrier windows are
@@ -24,10 +24,11 @@
 /// shard is still deterministic given its task arrival order, and the
 /// barrier drain order is still fixed — but WHICH window a submission or
 /// cross-shard message lands in depends on real time, so wall-clock runs
-/// are not bit-reproducible. The manual_clock mode removes that last
-/// source of nondeterminism for tests: no worker threads, the caller
-/// drives lock-step windows serially with RunUntil(), and a run is a pure
-/// function of the Post sequence. See src/runtime/README.md.
+/// are not bit-reproducible. The manual clock (runtime.manual_clock)
+/// removes that last source of nondeterminism for tests: no worker
+/// threads, the caller drives lock-step windows serially with RunUntil(),
+/// and a run is a pure function of the Post sequence. See
+/// src/runtime/README.md.
 ///
 /// The steady state is allocation-free per message: outbox vectors,
 /// per-shard wheels and the control queue all retain their capacity.
@@ -60,13 +61,12 @@ struct WallClockShardOptions {
   /// reach this count mid-window pulls the barrier early instead of
   /// letting borrowed queries ripen a whole tick. 0 disables.
   size_t outbox_fill_threshold = 64;
-  /// Per-shard runtime tuning. seed and manual_clock are overridden (the
-  /// shard set owns both); max_queue bounds each shard's external submit
-  /// queue (the Engine's per-shard admission door).
+  /// Per-shard runtime tuning. seed is overridden per shard; max_queue
+  /// bounds each shard's external submit queue (the Engine's per-shard
+  /// admission door); manual_clock is the deterministic test seam: no
+  /// worker threads — the caller drives lock-step barrier windows serially
+  /// with RunUntil()/RunFor().
   WallClockOptions runtime;
-  /// Deterministic test seam: no worker threads — the caller drives
-  /// lock-step barrier windows serially with RunUntil()/RunFor().
-  bool manual_clock = false;
 };
 
 /// Owns the per-shard runtimes and worker threads, and runs the barrier
@@ -86,8 +86,9 @@ class WallClockShardSet final : public ShardFabric {
   /// everything else is shard s's worker context.
   WallClockRuntime& runtime(uint32_t s) { return *runtimes_[s]; }
 
-  /// Launches the worker threads and anchors t = 0 (no-op under
-  /// manual_clock). Wire entities (mediators, hooks) BEFORE calling this.
+  /// Launches the worker threads and anchors t = 0 (no threads under
+  /// runtime.manual_clock). Wire entities (mediators, hooks) BEFORE
+  /// calling this.
   void Start();
 
   /// Final barrier (mailboxes drained, control ops run), then joins the
@@ -124,7 +125,7 @@ class WallClockShardSet final : public ShardFabric {
   /// membership mutations). Returns immediately.
   void PostControl(std::function<void()> fn);
 
-  /// PostControl + block until `fn` ran. In manual_clock mode (and before
+  /// PostControl + block until `fn` ran. Under the manual clock (and before
   /// Start / after Stop) the caller IS the quiescent driver context, so
   /// `fn` runs inline instead.
   void RunAtBarrier(std::function<void()> fn);
@@ -132,7 +133,7 @@ class WallClockShardSet final : public ShardFabric {
   // --- Manual-mode driver ----------------------------------------------------
 
   /// Advances every shard to time `t` through lock-step barrier windows
-  /// (manual_clock only). Runs control ops, membership and hooks at every
+  /// (manual clock only). Runs control ops, membership and hooks at every
   /// barrier, including the final one at `t`, then settles: extra
   /// zero-width windows drain cross-shard messages due at `t`.
   void RunUntil(Time t);

@@ -11,7 +11,9 @@
 /// suites hold it to that).
 ///
 /// Every Simulation owns one (Simulation::runtime()); standalone instances
-/// over a borrowed Simulation behave identically.
+/// over a borrowed Simulation behave identically. Entities that run on a
+/// simulation (mediators, churn and join processes) take
+/// `&simulation.runtime()`.
 
 #include "runtime/runtime.h"
 

@@ -23,10 +23,6 @@
 #include "runtime/runtime.h"
 #include "util/rng.h"
 
-namespace sbqa::sim {
-class Simulation;
-}  // namespace sbqa::sim
-
 namespace sbqa::workload {
 
 /// Availability parameters for one provider population.
@@ -45,11 +41,6 @@ class ChurnProcess {
  public:
   /// All pointers must outlive the process. Runs on `runtime`'s executor.
   ChurnProcess(rt::Runtime* runtime, core::Mediator* mediator,
-               model::ProviderId provider, const ChurnParams& params);
-
-  /// Convenience: runs on `sim`'s owned SimRuntime adapter (defined in
-  /// sim/sim_runtime.cc so this layer stays free of sim/ includes).
-  ChurnProcess(sim::Simulation* sim, core::Mediator* mediator,
                model::ProviderId provider, const ChurnParams& params);
 
   /// Decides the initial state and schedules the first toggle.
@@ -73,12 +64,6 @@ class ChurnProcess {
 /// Creates and starts one ChurnProcess per provider id.
 std::vector<std::unique_ptr<ChurnProcess>> StartChurn(
     rt::Runtime* runtime, core::Mediator* mediator,
-    const std::vector<model::ProviderId>& providers,
-    const ChurnParams& params);
-
-/// Convenience overload over `sim`'s owned SimRuntime adapter.
-std::vector<std::unique_ptr<ChurnProcess>> StartChurn(
-    sim::Simulation* sim, core::Mediator* mediator,
     const std::vector<model::ProviderId>& providers,
     const ChurnParams& params);
 

@@ -47,7 +47,7 @@ struct TestSystem {
   void Start(std::unique_ptr<AllocationMethod> method,
              MediatorConfig config = {}) {
     config.simulate_network = simulate_network;
-    mediator = std::make_unique<Mediator>(simulation.get(), &registry,
+    mediator = std::make_unique<Mediator>(&simulation->runtime(), &registry,
                                           reputation.get(), std::move(method),
                                           config);
   }

@@ -43,7 +43,7 @@ struct AllocHarness {
     MediatorConfig config;
     config.scoring_kernel = kind;
     mediator = std::make_unique<Mediator>(
-        simulation.get(), &registry, reputation.get(),
+        &simulation->runtime(), &registry, reputation.get(),
         std::make_unique<SbqaMethod>(SbqaParams{}), config);
   }
 

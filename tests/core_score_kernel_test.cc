@@ -84,7 +84,7 @@ struct KernelHarness {
     }
     MediatorConfig config;
     config.scoring_kernel = kind;
-    mediator = std::make_unique<Mediator>(simulation.get(), &registry,
+    mediator = std::make_unique<Mediator>(&simulation->runtime(), &registry,
                                           reputation.get(),
                                           std::make_unique<SbqaMethod>(
                                               SbqaParams{}),

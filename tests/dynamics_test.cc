@@ -36,7 +36,7 @@ struct AvailabilityHarness {
     core::MediatorConfig mediator_config;
     mediator_config.simulate_network = false;
     mediator = std::make_unique<core::Mediator>(
-        simulation.get(), &registry, reputation.get(),
+        &simulation->runtime(), &registry, reputation.get(),
         std::make_unique<core::SbqaMethod>(core::SbqaParams{}),
         mediator_config);
   }
@@ -131,7 +131,7 @@ TEST(ChurnTest, DisabledChurnStartsNothing) {
   workload::ChurnParams params;
   params.enabled = false;
   const auto processes = workload::StartChurn(
-      h.simulation.get(), h.mediator.get(), {0, 1, 2}, params);
+      &h.simulation->runtime(), h.mediator.get(), {0, 1, 2}, params);
   EXPECT_TRUE(processes.empty());
 }
 
@@ -142,7 +142,7 @@ TEST(ChurnTest, TogglesAvailabilityOverTime) {
   params.mean_online = 5.0;
   params.mean_offline = 5.0;
   const auto processes = workload::StartChurn(
-      h.simulation.get(), h.mediator.get(), {0, 1, 2}, params);
+      &h.simulation->runtime(), h.mediator.get(), {0, 1, 2}, params);
   ASSERT_EQ(processes.size(), 3u);
   h.simulation->RunUntil(200.0);
   // With 5s mean spells over 200s, every provider churned several times.
@@ -166,7 +166,7 @@ TEST(ChurnTest, InitialOfflineFractionRespected) {
   model::ReputationRegistry reputation(200);
   core::MediatorConfig mc;
   mc.simulate_network = false;
-  core::Mediator mediator(&simulation, &registry, &reputation,
+  core::Mediator mediator(&simulation.runtime(), &registry, &reputation,
                           std::make_unique<core::SbqaMethod>(
                               core::SbqaParams{}),
                           mc);
@@ -174,7 +174,7 @@ TEST(ChurnTest, InitialOfflineFractionRespected) {
   params.enabled = true;
   params.initial_online_fraction = 0.5;
   const auto processes =
-      workload::StartChurn(&simulation, &mediator, ids, params);
+      workload::StartChurn(&simulation.runtime(), &mediator, ids, params);
   const size_t online = registry.alive_provider_count();
   EXPECT_NEAR(static_cast<double>(online), 100.0, 25.0);
 }
@@ -193,7 +193,7 @@ TEST(JoinTest, VolunteersJoinAtConfiguredRate) {
   model::ReputationRegistry reputation(registry.provider_count());
   core::MediatorConfig mc;
   mc.simulate_network = false;
-  core::Mediator mediator(&simulation, &registry, &reputation,
+  core::Mediator mediator(&simulation.runtime(), &registry, &reputation,
                           std::make_unique<core::SbqaMethod>(
                               core::SbqaParams{}),
                           mc);
@@ -202,8 +202,9 @@ TEST(JoinTest, VolunteersJoinAtConfiguredRate) {
   params.enabled = true;
   params.rate = 0.5;  // one every 2s
   params.max_joins = 1000;
-  boinc::VolunteerJoinProcess joins(&simulation, &mediator, &reputation,
-                                    spec, built.projects, params);
+  boinc::VolunteerJoinProcess joins(&simulation.runtime(), &mediator,
+                                    &reputation, spec, built.projects,
+                                    params);
   joins.Start();
   simulation.RunUntil(100.0);
 
@@ -230,7 +231,7 @@ TEST(JoinTest, MaxJoinsCapRespected) {
   model::ReputationRegistry reputation(registry.provider_count());
   core::MediatorConfig mc;
   mc.simulate_network = false;
-  core::Mediator mediator(&simulation, &registry, &reputation,
+  core::Mediator mediator(&simulation.runtime(), &registry, &reputation,
                           std::make_unique<core::SbqaMethod>(
                               core::SbqaParams{}),
                           mc);
@@ -238,8 +239,9 @@ TEST(JoinTest, MaxJoinsCapRespected) {
   params.enabled = true;
   params.rate = 10.0;
   params.max_joins = 7;
-  boinc::VolunteerJoinProcess joins(&simulation, &mediator, &reputation,
-                                    spec, built.projects, params);
+  boinc::VolunteerJoinProcess joins(&simulation.runtime(), &mediator,
+                                    &reputation, spec, built.projects,
+                                    params);
   joins.Start();
   simulation.RunUntil(100.0);
   EXPECT_EQ(joins.joined(), 7);

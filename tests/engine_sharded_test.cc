@@ -2,9 +2,9 @@
 // barrier fabric (manual lock-step windows, mailbox FIFO, fill-triggered
 // early barriers, control ops) and the sharded sbqa::Engine built on it —
 // cross-shard query serving, post-Start membership through the epoch join
-// log, the shards=1 pass-through, and the counting-allocator gate holding
-// the sharded Submit path to ZERO heap allocations per query at steady
-// state, membership churn included.
+// log, one shard served through the same fabric, and the
+// counting-allocator gate holding the sharded Submit path to ZERO heap
+// allocations per query at steady state, membership churn included.
 //
 // Lives in its own test binary because it replaces the global operator
 // new/delete (via util/counting_alloc.h; counting only, allocation
@@ -32,7 +32,7 @@ using util::AllocationCount;
 rt::WallClockShardOptions ManualFabric(uint32_t shards) {
   rt::WallClockShardOptions options;
   options.shard_count = shards;
-  options.manual_clock = true;
+  options.runtime.manual_clock = true;
   options.barrier_tick = 0.002;
   return options;
 }
@@ -245,12 +245,10 @@ TEST(EngineShardedTest, ManualShardedRunsAreReproducible) {
   EXPECT_EQ(a.stats.queries_satisfied, b.stats.queries_satisfied);
 }
 
-TEST(EngineShardedTest, ShardsOneIsTheClassicSingleRuntimeEngine) {
-  // shards == 1 must not even build the shard fabric: identical options
-  // except `shards` produce bit-equal runs through the classic path.
-  EngineOptions classic = ShardedManualOptions(33, 1);
-  EXPECT_EQ(classic.shards, 1u);
-  Engine engine(std::move(classic));
+TEST(EngineShardedTest, ShardsOneServesThroughTheFabric) {
+  // One shard is still the shard set: one runtime and mediator cut into
+  // barrier windows, with control ops and post-Start joins at barriers.
+  Engine engine(ShardedManualOptions(33, 1));
   std::vector<model::ConsumerId> consumers;
   BuildShardedPopulation(&engine, 1, &consumers);
   engine.Start();
@@ -262,8 +260,22 @@ TEST(EngineShardedTest, ShardsOneIsTheClassicSingleRuntimeEngine) {
   }
   EXPECT_TRUE(engine.WaitIdle(30.0));
   EXPECT_EQ(callbacks, 50);
-  EXPECT_TRUE(engine.ShardStats().empty());  // no fabric, no shard rows
-  EXPECT_EQ(engine.Stats().shard_barriers, 0);
+  const std::vector<EngineShardStats> rows = engine.ShardStats();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].queries_submitted, 50);
+  const EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.queries_finalized, 50);
+  EXPECT_GT(stats.shard_barriers, 0);
+  EXPECT_EQ(stats.queries_delegated, 0);  // no peer to borrow from
+
+  // A post-Start join goes through the epoch join log at a barrier and
+  // hands back the next dense id.
+  const size_t base_providers = engine.Snapshot().providers.size();
+  core::ProviderParams new_provider_params;
+  new_provider_params.capacity = 2.0;
+  const model::ProviderId joined = engine.AddProvider(new_provider_params);
+  EXPECT_EQ(static_cast<size_t>(joined), base_providers);
+  EXPECT_EQ(engine.Snapshot().providers.size(), base_providers + 1);
 }
 
 TEST(EngineShardedTest, PostStartMembershipJoinsThroughTheEpochLog) {

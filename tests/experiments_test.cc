@@ -159,6 +159,23 @@ TEST(RunnerTest, QueriesTimingOutPastTheDrainHorizonAreFinalized) {
             result.summary.queries_finalized);
 }
 
+TEST(RunnerTest, MediatorGroupUnderDropsFinalizesEveryQuery) {
+  // Every member of a mediator group sits behind its own fault injector,
+  // which must exempt that member's inbox (submissions and result fan-in),
+  // not only the first member's: a dropped consumer->mediator hop arms no
+  // timeout, so the query would never be finalized.
+  ScenarioConfig config = BaseDemoConfig(/*seed=*/42, /*volunteers=*/200,
+                                         /*duration=*/60.0);
+  config.mediator_count = 3;
+  config.mediator.query_timeout = 5;
+  ASSERT_TRUE(rt::FaultProfileByName("drops", &config.fault_plan));
+  const RunResult result = RunScenario(config);
+  EXPECT_GT(result.summary.fault_sends_dropped, 0);
+  EXPECT_GT(result.summary.queries_submitted, 100);
+  EXPECT_EQ(result.summary.queries_submitted,
+            result.summary.queries_finalized);
+}
+
 TEST(ReportTest, TablesHaveOneRowPerResult) {
   const std::vector<RunResult> results =
       CompareMethods(SmallConfig(), BaselineMethods());

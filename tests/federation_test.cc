@@ -38,7 +38,7 @@ struct FederationHarness {
     mediator_config.simulate_network = false;
     for (int m = 0; m < 2; ++m) {
       mediators.push_back(std::make_unique<core::Mediator>(
-          simulation.get(), &registry, reputation.get(),
+          &simulation->runtime(), &registry, reputation.get(),
           std::make_unique<core::SbqaMethod>(core::SbqaParams{}),
           mediator_config));
     }

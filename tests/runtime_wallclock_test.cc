@@ -1,9 +1,8 @@
-// WallClockRuntime unit tests, driven by the injected fake clock
-// (manual_clock mode: the test is the executor and advances time with
-// AdvanceTo), plus a threaded smoke test and the counting-allocator gate
-// that holds the engine facade's Submit path to ZERO heap allocations per
-// query at steady state under the wall-clock runtime — the same contract
-// the simulation's event engine is held to.
+// WallClockRuntime unit tests (the test is the executor and advances time
+// with AdvanceTo), plus a multi-producer Post test and the
+// counting-allocator gate that holds the engine facade's Submit path to
+// ZERO heap allocations per query at steady state under the wall-clock
+// runtime — the same contract the simulation's event engine is held to.
 //
 // Lives in its own test binary because it replaces the global operator
 // new/delete (via util/counting_alloc.h; counting only, allocation
@@ -107,27 +106,31 @@ TEST(WallClockRuntimeTest, PostedWorkDrainsBeforeTimersOfTheSamePass) {
 }
 
 TEST(WallClockRuntimeTest, ThreadedPostFromManyProducers) {
-  // Real service thread: MPSC submissions from several driver threads all
-  // execute, on the single executor, without loss.
-  rt::WallClockRuntime runtime((rt::WallClockOptions()));
-  std::atomic<int> ran{0};
-  runtime.Start();
+  // MPSC submissions from several driver threads all execute, without
+  // loss, on the one executor: this thread, parking in WaitForWork and
+  // driving AdvanceTo while the producers post concurrently.
+  rt::WallClockRuntime runtime(ManualOptions());
+  int ran = 0;  // executor-only: every posted task runs on this thread
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 500;
+  constexpr int kTotal = kProducers * kPerProducer;
   std::vector<std::thread> producers;
   for (int t = 0; t < kProducers; ++t) {
     producers.emplace_back([&runtime, &ran] {
       for (int i = 0; i < kPerProducer; ++i) {
-        runtime.Post([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+        runtime.Post([&ran] { ++ran; });
       }
     });
   }
-  for (std::thread& t : producers) t.join();
-  for (int spin = 0; spin < 2000 && !runtime.idle(); ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  double now = 0;
+  for (int pass = 0; pass < 20000 && ran < kTotal; ++pass) {
+    runtime.WaitForWork(0.001);
+    now += 0.001;
+    runtime.AdvanceTo(now);
   }
-  runtime.Stop();
-  EXPECT_EQ(ran.load(), kProducers * kPerProducer);
+  for (std::thread& t : producers) t.join();
+  EXPECT_EQ(ran, kTotal);
+  EXPECT_TRUE(runtime.idle());
 }
 
 // --- Engine on the wall-clock runtime ---------------------------------------

@@ -298,7 +298,7 @@ struct MembershipHarness {
     sbqa_params.knbest = core::KnBestParams{20, 8};
     for (uint32_t s = 0; s < kShards; ++s) {
       mediators.push_back(std::make_unique<core::Mediator>(
-          &shards->shard(s), &registry, reputation.get(),
+          &shards->shard(s).runtime(), &registry, reputation.get(),
           std::make_unique<core::SbqaMethod>(sbqa_params),
           core::MediatorConfig{}));
       mediator_ptrs.push_back(mediators.back().get());

@@ -132,7 +132,7 @@ TEST(MediationAllocTest, SteadyStateQueryPathIsAllocationFree) {
   core::MediatorConfig config;
   core::SbqaParams sbqa_params;
   sbqa_params.knbest = core::KnBestParams{20, 8};
-  core::Mediator mediator(&simulation, &registry, &reputation,
+  core::Mediator mediator(&simulation.runtime(), &registry, &reputation,
                           std::make_unique<core::SbqaMethod>(sbqa_params),
                           config);
 

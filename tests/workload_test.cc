@@ -84,7 +84,7 @@ struct GeneratorHarness {
     core::MediatorConfig mediator_config;
     mediator_config.simulate_network = false;
     mediator = std::make_unique<core::Mediator>(
-        simulation.get(), &registry, reputation.get(),
+        &simulation->runtime(), &registry, reputation.get(),
         std::make_unique<core::SbqaMethod>(core::SbqaParams{}),
         mediator_config);
   }
